@@ -501,7 +501,7 @@ void EmitOne(PipeCtx& cx, NodeHandle cand, Sequence* out) {
       int64_t count = 0;
       if constexpr (RAW) {
         const xml::NameId* tags = cx.store->RawTagArray();
-        const NodeHandle end = cx.store->RawSubtreeEnd(cand);
+        const NodeHandle end = cx.store->SubtreeEnd(cand);
         for (NodeHandle i = cand + 1; i < end; ++i) {
           count += tags[i] == pipe.count_tag ? 1 : 0;
         }
@@ -830,7 +830,7 @@ StatusOr<Sequence> PipelineExec::Run(const CompiledPipeline& pipe,
                                  min_morsel_ids > 0;
         if (raw) {
           const NodeHandle from = p + 1;
-          const NodeHandle to = store->RawSubtreeEnd(p);
+          const NodeHandle to = store->SubtreeEnd(p);
           const uint64_t span = to > from ? to - from : 0;
           ++stats->descendant_scans;
           if (parallel_ok && span >= min_morsel_ids) {

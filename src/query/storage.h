@@ -49,6 +49,13 @@ inline bool MatchesChildFilter(ChildFilter filter, xml::NameId tag,
   return false;
 }
 
+/// One attribute of a stored element: its interned name and a view of its
+/// value in the store's heap (valid for the store's lifetime).
+struct AttributeRef {
+  xml::NameId name = xml::kInvalidName;
+  std::string_view value;
+};
+
 /// Reusable, allocation-free cursor over the (optionally filtered) children
 /// of one node. Opened through StorageAdapter::OpenChildCursor; each store
 /// interprets the state words according to its physical layout (a clustered
@@ -222,11 +229,22 @@ class StorageAdapter {
     return std::string(*view);
   }
 
-  virtual std::vector<std::pair<std::string, std::string>> Attributes(
-      NodeHandle n) const = 0;
+  /// Writes up to `cap` of `n`'s attributes, in document order, into
+  /// `out` and returns how many `n` has. When the count exceeds `cap`,
+  /// call again with a buffer of that size. Names are NameIds of names()
+  /// and values are views into the store's heap, so the scan allocates
+  /// nothing.
+  virtual size_t AttributeRefs(NodeHandle n, AttributeRef* out,
+                               size_t cap) const = 0;
 
   /// True when `a` precedes `b` in document order (Q4's BEFORE predicate).
   virtual bool Before(NodeHandle a, NodeHandle b) const = 0;
+
+  /// One past the last handle of `n`'s subtree. Every store's handles are
+  /// preorder ids, so the subtree of `n` is exactly the handle interval
+  /// [n, SubtreeEnd(n)) and its descendants are (n, SubtreeEnd(n)). The
+  /// serializer and the deep copy walk that interval front to back.
+  virtual NodeHandle SubtreeEnd(NodeHandle n) const = 0;
 
   // --- Batched child scans ----------------------------------------------
 
@@ -317,11 +335,6 @@ class StorageAdapter {
   /// to the cursor-batch source.
   virtual const xml::NameId* RawTagArray() const { return nullptr; }
   virtual size_t RawNodeCount() const { return 0; }
-  /// One past the last preorder id of `n`'s subtree: the descendants of
-  /// `n` are exactly the ids [n + 1, RawSubtreeEnd(n)). Meaningful only
-  /// while RawTagArray() is non-null; the default (empty interval) keeps
-  /// non-raw stores honest.
-  virtual NodeHandle RawSubtreeEnd(NodeHandle n) const { return n + 1; }
 
   // --- Optional access paths -------------------------------------------
   // Engines advertise the physical structures their architecture provides;

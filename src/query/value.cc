@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cmath>
 #include <cstring>
+#include <span>
 
 #include "query/exec_context.h"
 #include "util/string_util.h"
@@ -90,80 +91,208 @@ std::string_view NodeArena::InternText(std::string_view text) {
 
 namespace {
 
-void SerializeStoredNode(const NodeRef& ref, std::string& out) {
-  const StorageAdapter& store = *ref.store;
-  if (!store.IsElement(ref.handle)) {
-    AppendXmlEscaped(out, store.TextView(ref.handle));
-    return;
+// LIFO whose first N entries live inline: the shallow walks of ordinary
+// results never allocate, and deep ones spill to the heap instead of
+// recursing on the call stack.
+template <typename T, size_t N>
+class InlineStack {
+ public:
+  bool empty() const { return size_ == 0; }
+  T& top() { return size_ <= N ? inline_[size_ - 1] : spill_.back(); }
+  void push(const T& value) {
+    if (size_ < N) {
+      inline_[size_] = value;
+    } else {
+      spill_.push_back(value);
+    }
+    ++size_;
   }
-  out.push_back('<');
-  const std::string tag(store.names().Spelling(store.NameOf(ref.handle)));
-  out.append(tag);
-  for (const auto& [name, value] : store.Attributes(ref.handle)) {
-    out.push_back(' ');
-    out.append(name);
-    out.append("=\"");
-    AppendXmlEscaped(out, value);
-    out.push_back('"');
+  void pop() {
+    if (size_ > N) spill_.pop_back();
+    --size_;
   }
-  NodeHandle child = store.FirstChild(ref.handle);
-  if (child == kInvalidHandle) {
-    out.append("/>");
-    return;
+
+ private:
+  T inline_[N];
+  std::vector<T> spill_;
+  size_t size_ = 0;
+};
+
+// A stored element's attributes: up to kInline land in a member buffer;
+// only elements with more pay for a heap spill.
+class AttributeReader {
+ public:
+  std::span<const AttributeRef> Read(const StorageAdapter& store,
+                                     NodeHandle n) {
+    const size_t count = store.AttributeRefs(n, inline_, kInline);
+    if (count <= kInline) return {inline_, count};
+    spill_.resize(count);
+    store.AttributeRefs(n, spill_.data(), count);
+    return spill_;
   }
-  out.push_back('>');
-  for (; child != kInvalidHandle; child = store.NextSibling(child)) {
-    SerializeStoredNode(NodeRef{&store, child}, out);
-  }
+
+ private:
+  static constexpr size_t kInline = 16;
+  AttributeRef inline_[kInline];
+  std::vector<AttributeRef> spill_;
+};
+
+void AppendCloseTag(std::string_view tag, std::string& out) {
   out.append("</");
   out.append(tag);
   out.push_back('>');
 }
 
-void SerializeConstructed(const ConstructedNode& node, std::string& out) {
-  if (node.is_text()) {
-    AppendXmlEscaped(out, node.text_view());
-    return;
+// Writes the stored subtree of `root` by walking its preorder interval
+// [root, SubtreeEnd(root)) front to back with an explicit stack of open
+// tags: before node h is written, tags close until the top of the stack
+// is Parent(h). A start tag stays unterminated until the next node shows
+// whether the element has content (Parent(h + 1) == h) or is empty
+// ("/>"), so each node costs one Parent, one NameOf and one TextView or
+// AttributeRefs call, and the depth of the subtree never reaches the call
+// stack.
+void AppendStoredSubtree(const StorageAdapter& store, NodeHandle root,
+                         std::string& out) {
+  struct OpenTag {
+    NodeHandle handle = kInvalidHandle;
+    std::string_view tag;
+  };
+  const xml::NameTable& names = store.names();
+  const NodeHandle end = store.SubtreeEnd(root);
+  InlineStack<OpenTag, 32> open;
+  AttributeReader attributes;
+  bool unterminated = false;  // open.top()'s start tag still lacks its '>'
+  for (NodeHandle h = root; h < end; ++h) {
+    if (h != root) {
+      const NodeHandle parent = store.Parent(h);
+      if (unterminated) {
+        unterminated = false;
+        if (open.top().handle == parent) {
+          out.push_back('>');
+        } else {
+          out.append("/>");
+          open.pop();
+        }
+      }
+      while (open.top().handle != parent) {
+        AppendCloseTag(open.top().tag, out);
+        open.pop();
+      }
+    }
+    const xml::NameId tag = store.NameOf(h);
+    if (tag == xml::kInvalidName) {
+      AppendXmlEscaped(out, store.TextView(h));
+      continue;
+    }
+    const std::string_view spelling = names.Spelling(tag);
+    out.push_back('<');
+    out.append(spelling);
+    for (const AttributeRef& attr : attributes.Read(store, h)) {
+      out.push_back(' ');
+      out.append(names.Spelling(attr.name));
+      out.append("=\"");
+      AppendXmlEscaped(out, attr.value);
+      out.push_back('"');
+    }
+    open.push({h, spelling});
+    unterminated = true;
   }
-  out.push_back('<');
-  out.append(node.tag_view());
-  for (const auto& [name, value] : node.attributes) {
-    out.push_back(' ');
-    out.append(name);
-    out.append("=\"");
-    AppendXmlEscaped(out, value);
-    out.push_back('"');
-  }
-  if (node.children.empty()) {
+  if (unterminated) {
     out.append("/>");
-    return;
+    open.pop();
   }
-  out.push_back('>');
-  for (const Item& child : node.children) {
-    if (child.is_node()) {
-      SerializeStoredNode(child.node(), out);
-    } else if (child.is_constructed()) {
-      SerializeConstructed(*child.constructed(), out);
+  for (; !open.empty(); open.pop()) AppendCloseTag(open.top().tag, out);
+}
+
+// An open constructed element and the index of its next child to visit.
+struct ConstructedFrame {
+  const ConstructedNode* node = nullptr;
+  size_t next = 0;
+};
+
+// Constructed trees nest stored subtrees, constructed nodes and atomics;
+// they are walked with an explicit stack too, because a deep copy
+// (copy_results) of a deep stored subtree is as deep as its source.
+void SerializeConstructed(const ConstructedNode& root, std::string& out) {
+  InlineStack<ConstructedFrame, 16> open;
+  // Writes a text node, an empty element, or an element's start tag (and
+  // opens it).
+  const auto start = [&open, &out](const ConstructedNode& node) {
+    if (node.is_text()) {
+      AppendXmlEscaped(out, node.text_view());
+      return;
+    }
+    out.push_back('<');
+    out.append(node.tag_view());
+    for (const auto& [name, value] : node.attributes) {
+      out.push_back(' ');
+      out.append(name);
+      out.append("=\"");
+      AppendXmlEscaped(out, value);
+      out.push_back('"');
+    }
+    if (node.children.empty()) {
+      out.append("/>");
+      return;
+    }
+    out.push_back('>');
+    open.push({&node, 0});
+  };
+  start(root);
+  while (!open.empty()) {
+    ConstructedFrame& frame = open.top();
+    if (frame.next == frame.node->children.size()) {
+      AppendCloseTag(frame.node->tag_view(), out);
+      open.pop();
+      continue;
+    }
+    const Item& child = frame.node->children[frame.next++];
+    if (child.is_constructed()) {
+      start(*child.constructed());
+    } else if (child.is_node()) {
+      AppendStoredSubtree(*child.node().store, child.node().handle, out);
     } else {
       AppendXmlEscaped(out, ItemStringValue(child));
     }
   }
-  out.append("</");
-  out.append(node.tag_view());
-  out.push_back('>');
 }
 
-void AppendConstructedStringValue(const ConstructedNode& node,
+void AppendConstructedStringValue(const ConstructedNode& root,
                                   std::string& out) {
-  if (node.is_text()) {
-    out.append(node.text_view());
+  if (root.is_text()) {
+    out.append(root.text_view());
     return;
   }
-  for (const Item& child : node.children) {
-    if (child.is_constructed()) {
-      AppendConstructedStringValue(*child.constructed(), out);
-    } else {
+  InlineStack<ConstructedFrame, 16> open;
+  open.push({&root, 0});
+  while (!open.empty()) {
+    ConstructedFrame& frame = open.top();
+    if (frame.next == frame.node->children.size()) {
+      open.pop();
+      continue;
+    }
+    const Item& child = frame.node->children[frame.next++];
+    if (!child.is_constructed()) {
       out.append(ItemStringValue(child));
+    } else if (child.constructed()->is_text()) {
+      out.append(child.constructed()->text_view());
+    } else {
+      open.push({child.constructed().get(), 0});
+    }
+  }
+}
+
+// Moves every uniquely owned heap child of `children` into `detached`,
+// leaving an empty item behind (see ~ConstructedNode). The use count is
+// tested first: non-owning interior references (count 0) may point at
+// arena nodes that their arena has already destroyed.
+void DetachOwnedChildren(std::pmr::vector<Item>& children,
+                         std::vector<ConstructedPtr>* detached) {
+  for (Item& child : children) {
+    if (child.is_constructed() && child.constructed().use_count() == 1 &&
+        child.constructed()->owner_arena == nullptr) {
+      detached->push_back(child.constructed());
+      child = Item();
     }
   }
 }
@@ -171,6 +300,24 @@ void AppendConstructedStringValue(const ConstructedNode& node,
 thread_local int64_t g_sequence_heap_spills = 0;
 
 }  // namespace
+
+ConstructedNode::~ConstructedNode() {
+  // A deep copy of a deep stored subtree is a chain of uniquely owned heap
+  // nodes; destroying each child inside its parent's destructor would
+  // recurse once per level. Uniquely owned heap descendants are detached
+  // into a worklist instead and released one at a time, each with no
+  // owned children left. Arena nodes die with their arena, and shared
+  // children stay with their other owners.
+  std::vector<ConstructedPtr> detached;
+  DetachOwnedChildren(children, &detached);
+  while (!detached.empty()) {
+    ConstructedPtr node = std::move(detached.back());
+    detached.pop_back();
+    // The last owner may dismantle the node it is about to release.
+    DetachOwnedChildren(const_cast<ConstructedNode&>(*node).children,
+                        &detached);
+  }
+}
 
 int64_t SequenceHeapSpills() { return g_sequence_heap_spills; }
 
@@ -259,7 +406,7 @@ namespace {
 // caller-owned buffer — no per-item std::string temporary.
 void AppendSerializedItem(const Item& item, std::string& out) {
   if (item.is_node()) {
-    SerializeStoredNode(item.node(), out);
+    AppendStoredSubtree(*item.node().store, item.node().handle, out);
     return;
   }
   if (item.is_constructed()) {
@@ -286,20 +433,41 @@ std::string SerializeItem(const Item& item) {
 }
 
 ConstructedPtr DeepCopyNode(const NodeRef& ref) {
+  // The same preorder-interval walk as AppendStoredSubtree: each copied
+  // node is appended to the copy of its parent, found by popping the
+  // stack of open elements until its top is Parent(h).
+  struct OpenCopy {
+    NodeHandle handle = kInvalidHandle;
+    ConstructedNode* copy = nullptr;
+  };
   const StorageAdapter& store = *ref.store;
-  auto out = std::make_shared<ConstructedNode>();
-  if (!store.IsElement(ref.handle)) {
-    out->text = store.Text(ref.handle);
-    return out;
+  const xml::NameTable& names = store.names();
+  const NodeHandle end = store.SubtreeEnd(ref.handle);
+  InlineStack<OpenCopy, 32> open;
+  AttributeReader attributes;
+  ConstructedPtr root;
+  for (NodeHandle h = ref.handle; h < end; ++h) {
+    auto node = std::make_shared<ConstructedNode>();
+    ConstructedNode* copy = node.get();
+    const xml::NameId tag = store.NameOf(h);
+    if (tag == xml::kInvalidName) {
+      copy->text = store.TextView(h);
+    } else {
+      copy->tag = names.Spelling(tag);
+      for (const AttributeRef& attr : attributes.Read(store, h)) {
+        copy->attributes.emplace_back(names.Spelling(attr.name), attr.value);
+      }
+    }
+    if (h == ref.handle) {
+      root = std::move(node);
+    } else {
+      const NodeHandle parent = store.Parent(h);
+      while (open.top().handle != parent) open.pop();
+      open.top().copy->children.emplace_back(ConstructedPtr(std::move(node)));
+    }
+    if (tag != xml::kInvalidName) open.push({h, copy});
   }
-  out->tag = std::string(store.names().Spelling(store.NameOf(ref.handle)));
-  const auto attrs = store.Attributes(ref.handle);
-  out->attributes.assign(attrs.begin(), attrs.end());
-  for (NodeHandle c = store.FirstChild(ref.handle); c != kInvalidHandle;
-       c = store.NextSibling(c)) {
-    out->children.emplace_back(DeepCopyNode(NodeRef{&store, c}));
-  }
-  return out;
+  return root;
 }
 
 namespace {
@@ -365,12 +533,10 @@ size_t EstimateSerializedSize(const Sequence& seq) {
       const NodeRef& ref = item.node();
       if (!ref.store->IsElement(ref.handle)) {
         est += 2 * ref.store->TextView(ref.handle).size() + 1;
-      } else if (ref.store->RawTagArray() != nullptr) {
-        // Preorder stores know the subtree span: ~24 output bytes per
-        // node (tags + text) is the empirically safe per-node factor.
-        est += 24 * (ref.store->RawSubtreeEnd(ref.handle) - ref.handle);
       } else {
-        est += 64;
+        // Every store knows the subtree span: ~24 output bytes per node
+        // (tags + text) is the empirically safe per-node factor.
+        est += 24 * (ref.store->SubtreeEnd(ref.handle) - ref.handle);
       }
     } else {
       est += 64;  // constructed: flat guess, trees are query-built & small

@@ -50,6 +50,10 @@ struct ConstructedNode {
   /// owning NodeArena's monotonic pool), so building a template instance
   /// performs no individual vector allocations.
   explicit ConstructedNode(std::pmr::memory_resource* mem);
+  /// Releases deep trees of uniquely owned heap children iteratively.
+  ~ConstructedNode();
+  ConstructedNode(const ConstructedNode&) = delete;
+  ConstructedNode& operator=(const ConstructedNode&) = delete;
 
   std::string tag;  // empty => text node, `text` holds the content
   std::string text;
@@ -388,9 +392,9 @@ std::string SerializeItem(const Item& item);
 std::string SerializeSequence(const Sequence& seq);
 
 /// Cheap size estimate for SerializeSequence's output, used to pre-reserve
-/// the result buffer: exact-ish for atomics and text nodes, subtree-span
-/// heuristic for elements on preorder stores (RawTagArray), flat constants
-/// elsewhere. A hint, not a bound.
+/// the result buffer: exact-ish for atomics and text nodes, a per-node
+/// factor times the SubtreeEnd span for stored elements, a flat constant
+/// for constructed nodes. A hint, not a bound.
 size_t EstimateSerializedSize(const Sequence& seq);
 
 /// String-value of a constructed node (concatenated text).

@@ -263,14 +263,13 @@ size_t DomStore::AdvanceChildCursor(query::ChildCursor* cur,
   return n;
 }
 
-std::vector<std::pair<std::string, std::string>> DomStore::Attributes(
-    query::NodeHandle n) const {
-  std::vector<std::pair<std::string, std::string>> out;
-  for (const auto& attr : doc_.attributes(static_cast<xml::NodeId>(n))) {
-    out.emplace_back(std::string(doc_.names().Spelling(attr.name)),
-                     std::string(attr.value));
+size_t DomStore::AttributeRefs(query::NodeHandle n, query::AttributeRef* out,
+                               size_t cap) const {
+  const auto attrs = doc_.attributes(static_cast<xml::NodeId>(n));
+  for (size_t i = 0; i < attrs.size() && i < cap; ++i) {
+    out[i] = {attrs[i].name, attrs[i].value};
   }
-  return out;
+  return attrs.size();
 }
 
 query::NodeHandle DomStore::NodeById(std::string_view id) const {

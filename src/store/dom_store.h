@@ -77,8 +77,8 @@ class DomStore : public query::StorageAdapter {
       query::NodeHandle n, std::string_view name) const override {
     return doc_.attribute(static_cast<xml::NodeId>(n), name);
   }
-  std::vector<std::pair<std::string, std::string>> Attributes(
-      query::NodeHandle n) const override;
+  size_t AttributeRefs(query::NodeHandle n, query::AttributeRef* out,
+                       size_t cap) const override;
   // Dense-array sibling walk over the document's node table.
   void OpenChildCursor(query::NodeHandle parent, query::ChildFilter filter,
                        xml::NameId tag,
@@ -102,6 +102,9 @@ class DomStore : public query::StorageAdapter {
   }
   bool Before(query::NodeHandle a, query::NodeHandle b) const override {
     return a < b;
+  }
+  query::NodeHandle SubtreeEnd(query::NodeHandle n) const override {
+    return doc_.SubtreeEnd(static_cast<xml::NodeId>(n));
   }
 
   bool SupportsIdLookup() const override { return !id_index_.empty(); }

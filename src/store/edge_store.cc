@@ -439,16 +439,17 @@ size_t EdgeStore::AdvanceDescendantCursor(query::DescendantCursor* cur,
   return n;
 }
 
-std::vector<std::pair<std::string, std::string>> EdgeStore::Attributes(
-    query::NodeHandle n) const {
-  std::vector<std::pair<std::string, std::string>> out;
+size_t EdgeStore::AttributeRefs(query::NodeHandle n, query::AttributeRef* out,
+                                size_t cap) const {
+  size_t count = 0;
   for (size_t i = attr_begin_[n]; i < attrs_.size() && attrs_[i].owner == n;
-       ++i) {
-    out.emplace_back(
-        std::string(names_.Spelling(attrs_[i].name)),
-        std::string(HeapString(attrs_[i].value_begin, attrs_[i].value_len)));
+       ++i, ++count) {
+    if (count < cap) {
+      out[count] = {attrs_[i].name,
+                    HeapString(attrs_[i].value_begin, attrs_[i].value_len)};
+    }
   }
-  return out;
+  return count;
 }
 
 query::NodeHandle EdgeStore::NodeById(std::string_view id) const {

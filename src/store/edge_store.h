@@ -49,8 +49,8 @@ class EdgeStore : public query::StorageAdapter {
   void AppendStringValue(query::NodeHandle n, std::string* out) const override;
   std::optional<std::string_view> AttributeView(
       query::NodeHandle n, std::string_view name) const override;
-  std::vector<std::pair<std::string, std::string>> Attributes(
-      query::NodeHandle n) const override;
+  size_t AttributeRefs(query::NodeHandle n, query::AttributeRef* out,
+                       size_t cap) const override;
   // One binary search over the (parent, ord)-clustered relation, then a
   // linear row scan — the cursor never touches the PK index.
   void OpenChildCursor(query::NodeHandle parent, query::ChildFilter filter,
@@ -76,16 +76,16 @@ class EdgeStore : public query::StorageAdapter {
   bool Before(query::NodeHandle a, query::NodeHandle b) const override {
     return a < b;
   }
+  query::NodeHandle SubtreeEnd(query::NodeHandle n) const override {
+    return subtree_end_[n];
+  }
 
-  // Raw preorder views for compiled pipelines: ids are preorder, so the
+  // Raw preorder view for compiled pipelines: ids are preorder, so the
   // dense id->tag projection (built once at bulkload) plus subtree_end_
   // give the fused drains a branch-free interval scan with zero virtual
   // calls.
   const xml::NameId* RawTagArray() const override { return tag_by_id_.data(); }
   size_t RawNodeCount() const override { return tag_by_id_.size(); }
-  query::NodeHandle RawSubtreeEnd(query::NodeHandle n) const override {
-    return subtree_end_[n];
-  }
 
   bool SupportsIdLookup() const override { return true; }
   query::NodeHandle NodeById(std::string_view id) const override;

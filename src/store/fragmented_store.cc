@@ -565,7 +565,10 @@ size_t FragmentedStore::AdvanceDescendantCursor(query::DescendantCursor* cur,
   // and emit the smallest front id until the batch is full. The fronts are
   // per-call locals (stack-resident up to kInlineFronts candidate paths,
   // the overwhelmingly common case), so the persistent state stays within
-  // the cursor words.
+  // the cursor words. The [lo, hi) id bounds already confine every slice
+  // to base's subtree, so tables of paths that do not extend base's path
+  // simply slice empty: no PathExtends walk (O(depth) per table per batch,
+  // which made deep documents superlinear) is needed here.
   if (cap == 0) return 0;  // must not conflate "no room" with "exhausted"
   const xml::NameId want =
       cur->filter == query::ChildFilter::kText ? text_tag_ : cur->tag;
@@ -585,9 +588,6 @@ size_t FragmentedStore::AdvanceDescendantCursor(query::DescendantCursor* cur,
   const auto it = paths_by_tag_.find(want);
   XMARK_CHECK(it != paths_by_tag_.end());  // merge mode implies >= 2 paths
   for (uint32_t path_id : it->second) {
-    if (!PathExtends(path_id, path_of_[static_cast<uint32_t>(cur->base)])) {
-      continue;
-    }
     const PathInfo& p = paths_[path_id];
     const auto [b, e] = Slice(p, lo, hi);
     if (b == e) continue;
@@ -620,16 +620,19 @@ size_t FragmentedStore::AdvanceDescendantCursor(query::DescendantCursor* cur,
   return n;
 }
 
-std::vector<std::pair<std::string, std::string>> FragmentedStore::Attributes(
-    query::NodeHandle n) const {
-  std::vector<std::pair<std::string, std::string>> out;
+size_t FragmentedStore::AttributeRefs(query::NodeHandle n,
+                                      query::AttributeRef* out,
+                                      size_t cap) const {
+  size_t count = 0;
   for (size_t i = attr_begin_[n]; i < attrs_.size() && attrs_[i].owner == n;
-       ++i) {
-    out.emplace_back(std::string(names_.Spelling(attrs_[i].name)),
-                     std::string(std::string_view(heap_).substr(
-                         attrs_[i].value_begin, attrs_[i].value_len)));
+       ++i, ++count) {
+    if (count < cap) {
+      out[count] = {attrs_[i].name,
+                    std::string_view(heap_).substr(attrs_[i].value_begin,
+                                                   attrs_[i].value_len)};
+    }
   }
-  return out;
+  return count;
 }
 
 query::NodeHandle FragmentedStore::NodeById(std::string_view id) const {

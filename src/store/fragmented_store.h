@@ -55,8 +55,8 @@ class FragmentedStore : public query::StorageAdapter {
   void AppendStringValue(query::NodeHandle n, std::string* out) const override;
   std::optional<std::string_view> AttributeView(
       query::NodeHandle n, std::string_view name) const override;
-  std::vector<std::pair<std::string, std::string>> Attributes(
-      query::NodeHandle n) const override;
+  size_t AttributeRefs(query::NodeHandle n, query::AttributeRef* out,
+                       size_t cap) const override;
   // Tag- and text-filtered scans are direct path-table slices; generic
   // scans fall back to the (merging) FirstChild/NextSibling chain.
   void OpenChildCursor(query::NodeHandle parent, query::ChildFilter filter,
@@ -76,6 +76,9 @@ class FragmentedStore : public query::StorageAdapter {
                                  size_t cap) const override;
   bool Before(query::NodeHandle a, query::NodeHandle b) const override {
     return a < b;
+  }
+  query::NodeHandle SubtreeEnd(query::NodeHandle n) const override {
+    return RowOf(n).subtree_end;
   }
 
   bool SupportsIdLookup() const override { return true; }

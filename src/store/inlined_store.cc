@@ -472,7 +472,7 @@ size_t InlinedStore::AdvanceChildCursor(query::ChildCursor* cur,
   return n;
 }
 
-query::NodeHandle InlinedStore::RawSubtreeEnd(query::NodeHandle n) const {
+query::NodeHandle InlinedStore::SubtreeEnd(query::NodeHandle n) const {
   // Subtree end: the next sibling of n or of its nearest ancestor with
   // one (preorder ids), else the end of the node table.
   query::NodeHandle end = next_sibling_[n];
@@ -490,7 +490,7 @@ void InlinedStore::OpenDescendantCursor(query::NodeHandle base,
                                         query::DescendantCursor* cur) const {
   if (!cur->Init(this, base, filter, tag)) return;  // u0 == u1: exhausted
   cur->u0 = base + 1;
-  cur->u1 = RawSubtreeEnd(base);
+  cur->u1 = SubtreeEnd(base);
 }
 
 size_t InlinedStore::AdvanceDescendantCursor(query::DescendantCursor* cur,
@@ -509,16 +509,19 @@ size_t InlinedStore::AdvanceDescendantCursor(query::DescendantCursor* cur,
   return n;
 }
 
-std::vector<std::pair<std::string, std::string>> InlinedStore::Attributes(
-    query::NodeHandle n) const {
-  std::vector<std::pair<std::string, std::string>> out;
+size_t InlinedStore::AttributeRefs(query::NodeHandle n,
+                                   query::AttributeRef* out,
+                                   size_t cap) const {
+  size_t count = 0;
   for (size_t i = attr_begin_[n]; i < attrs_.size() && attrs_[i].owner == n;
-       ++i) {
-    out.emplace_back(std::string(names_.Spelling(attrs_[i].name)),
-                     std::string(std::string_view(heap_).substr(
-                         attrs_[i].value_begin, attrs_[i].value_len)));
+       ++i, ++count) {
+    if (count < cap) {
+      out[count] = {attrs_[i].name,
+                    std::string_view(heap_).substr(attrs_[i].value_begin,
+                                                   attrs_[i].value_len)};
+    }
   }
-  return out;
+  return count;
 }
 
 query::NodeHandle InlinedStore::NodeById(std::string_view id) const {

@@ -65,8 +65,8 @@ class InlinedStore : public query::StorageAdapter {
   void AppendStringValue(query::NodeHandle n, std::string* out) const override;
   std::optional<std::string_view> AttributeView(
       query::NodeHandle n, std::string_view name) const override;
-  std::vector<std::pair<std::string, std::string>> Attributes(
-      query::NodeHandle n) const override;
+  size_t AttributeRefs(query::NodeHandle n, query::AttributeRef* out,
+                       size_t cap) const override;
   // Dense-array sibling walk: no virtual dispatch per child.
   void OpenChildCursor(query::NodeHandle parent, query::ChildFilter filter,
                        xml::NameId tag,
@@ -91,13 +91,14 @@ class InlinedStore : public query::StorageAdapter {
   bool Before(query::NodeHandle a, query::NodeHandle b) const override {
     return a < b;
   }
+  // The next sibling of n or of its nearest ancestor with one: O(depth)
+  // over the sibling/parent links.
+  query::NodeHandle SubtreeEnd(query::NodeHandle n) const override;
 
-  // Raw preorder views for compiled pipelines: the dense tag_ array IS the
-  // id->tag projection; subtree ends reuse OpenDescendantCursor's
-  // ancestor-walk computation.
+  // Raw preorder view for compiled pipelines: the dense tag_ array IS the
+  // id->tag projection.
   const xml::NameId* RawTagArray() const override { return tag_.data(); }
   size_t RawNodeCount() const override { return tag_.size(); }
-  query::NodeHandle RawSubtreeEnd(query::NodeHandle n) const override;
 
   bool SupportsIdLookup() const override { return true; }
   query::NodeHandle NodeById(std::string_view id) const override;

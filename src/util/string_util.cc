@@ -1,5 +1,6 @@
 #include "util/string_util.h"
 
+#include <array>
 #include <cctype>
 #include <charconv>
 #include <cmath>
@@ -88,16 +89,27 @@ std::string FormatDouble(double v) {
   return buf;
 }
 
+namespace {
+
+// Bytes AppendXmlEscaped replaces; everything else, high-bit bytes
+// included, passes through unchanged.
+constexpr std::array<bool, 256> kXmlEscapable = [] {
+  std::array<bool, 256> table{};
+  for (const unsigned char c : {'&', '<', '>', '"'}) table[c] = true;
+  return table;
+}();
+
+}  // namespace
+
 void AppendXmlEscaped(std::string& out, std::string_view s) {
-  // Span-based: memchr-backed find_first_of locates the next escapable
-  // byte and everything before it is bulk-copied in one append, instead
-  // of a branch + push_back per character. Escape-free strings (the
-  // overwhelming case in the serializer) reduce to a single append.
-  constexpr std::string_view kEscapable("&<>\"");
+  // One table lookup per byte finds the next escapable byte, and the
+  // clean run before it is bulk-copied in one append. (find_first_of with
+  // a 4-byte needle is not memchr-backed: libstdc++ searches the needle
+  // once per input byte.) Escape-free strings, the overwhelming case in
+  // the serializer, reduce to one scan and a single append.
   size_t pos = 0;
-  while (pos < s.size()) {
-    const size_t hit = s.find_first_of(kEscapable, pos);
-    if (hit == std::string_view::npos) break;
+  for (size_t hit = 0; hit < s.size(); ++hit) {
+    if (!kXmlEscapable[static_cast<unsigned char>(s[hit])]) continue;
     out.append(s, pos, hit - pos);
     switch (s[hit]) {
       case '&':

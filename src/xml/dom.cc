@@ -31,13 +31,6 @@ StatusOr<Document> Document::ParseFile(const std::string& path,
   return doc;
 }
 
-std::vector<DomAttribute> Document::attributes(NodeId n) const {
-  const NodeRecord& rec = nodes_[n];
-  return std::vector<DomAttribute>(
-      attrs_.begin() + rec.attr_begin,
-      attrs_.begin() + rec.attr_begin + rec.attr_count);
-}
-
 std::optional<std::string_view> Document::attribute(NodeId n,
                                                     NameId attr) const {
   const NodeRecord& rec = nodes_[n];

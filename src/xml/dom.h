@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -89,8 +90,12 @@ class Document {
   /// Text content of a text node (empty view for elements).
   std::string_view text(NodeId n) const { return nodes_[n].text; }
 
-  /// Attributes of element `n`, in document order.
-  std::vector<DomAttribute> attributes(NodeId n) const;
+  /// Attributes of element `n`, in document order, as a view into the
+  /// attribute table (valid for the document's lifetime).
+  std::span<const DomAttribute> attributes(NodeId n) const {
+    return std::span<const DomAttribute>(attrs_).subspan(
+        nodes_[n].attr_begin, nodes_[n].attr_count);
+  }
   size_t attribute_count(NodeId n) const { return nodes_[n].attr_count; }
 
   /// Value of attribute `attr` on `n`, or nullopt when absent.

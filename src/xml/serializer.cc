@@ -19,7 +19,8 @@ void SerializeNode(const Document& doc, NodeId node,
   if (options.indent) out.append(2 * depth, ' ');
   out.push_back('<');
   out.append(doc.tag(node));
-  std::vector<DomAttribute> attrs = doc.attributes(node);
+  const auto span = doc.attributes(node);
+  std::vector<DomAttribute> attrs(span.begin(), span.end());
   if (options.canonical) {
     std::sort(attrs.begin(), attrs.end(),
               [&](const DomAttribute& a, const DomAttribute& b) {

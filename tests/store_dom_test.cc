@@ -131,9 +131,10 @@ TEST(DomStoreTest, Attributes) {
   const auto p0 = store->NodeById("p0");
   EXPECT_EQ(store->Attribute(p0, "id").value(), "p0");
   EXPECT_FALSE(store->Attribute(p0, "none").has_value());
-  const auto attrs = store->Attributes(p0);
-  ASSERT_EQ(attrs.size(), 1u);
-  EXPECT_EQ(attrs[0].first, "id");
+  query::AttributeRef attrs[2];
+  ASSERT_EQ(store->AttributeRefs(p0, attrs, 2), 1u);
+  EXPECT_EQ(store->names().Spelling(attrs[0].name), "id");
+  EXPECT_EQ(attrs[0].value, "p0");
 }
 
 TEST(DomStoreTest, ResolveNameDefault) {

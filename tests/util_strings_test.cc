@@ -70,6 +70,42 @@ TEST(XmlEscapeTest, EscapesSpecials) {
   EXPECT_EQ(out, "a&lt;b&gt;&amp;&quot;c&quot;");
 }
 
+std::string Escaped(std::string_view s) {
+  std::string out;
+  AppendXmlEscaped(out, s);
+  return out;
+}
+
+TEST(XmlEscapeTest, EmptyAndEscapeFreeInput) {
+  EXPECT_EQ(Escaped(""), "");
+  EXPECT_EQ(Escaped("plain text, no specials; 'apostrophes' stay"),
+            "plain text, no specials; 'apostrophes' stay");
+}
+
+TEST(XmlEscapeTest, EscapeAtFirstAndLastByte) {
+  EXPECT_EQ(Escaped("&x"), "&amp;x");
+  EXPECT_EQ(Escaped("x\""), "x&quot;");
+  EXPECT_EQ(Escaped("<x>"), "&lt;x&gt;");
+  EXPECT_EQ(Escaped(">"), "&gt;");
+}
+
+TEST(XmlEscapeTest, AdjacentEscapes) {
+  EXPECT_EQ(Escaped("&<>\""), "&amp;&lt;&gt;&quot;");
+  EXPECT_EQ(Escaped("a&&b<<c"), "a&amp;&amp;b&lt;&lt;c");
+}
+
+TEST(XmlEscapeTest, HighBitAndControlBytesPassThrough) {
+  const std::string bytes = "caf\xC3\xA9 \xFF\x80\x01\t\n";
+  EXPECT_EQ(Escaped(bytes), bytes);
+  EXPECT_EQ(Escaped(std::string_view("a\0<", 3)), std::string("a\0&lt;", 6));
+}
+
+TEST(XmlEscapeTest, AppendsToExistingOutput) {
+  std::string out = "<t>";
+  AppendXmlEscaped(out, "1<2");
+  EXPECT_EQ(out, "<t>1&lt;2");
+}
+
 TEST(StringPrintfTest, Formats) {
   EXPECT_EQ(StringPrintf("%d-%s", 4, "x"), "4-x");
   EXPECT_EQ(StringPrintf("%.2f", 1.005), "1.00");
