@@ -1,12 +1,11 @@
-// Ablation bench for the design choices DESIGN.md calls out: each engine
-// feature is toggled on the same store and the affected queries re-timed.
-// This grounds the Table 3 contrasts in their mechanisms:
-//   - structural summary / tag index  -> Q6, Q7 (regular path expressions)
+// Ablation bench for the design choices docs/ARCHITECTURE.md calls out:
+// each engine feature is toggled on the same store and the affected
+// queries re-timed. This grounds the Table 3 contrasts in their
+// mechanisms:
+//   - structural summary              -> Q6, Q7 (regular path expressions)
 //   - ID index                        -> Q1 (exact match)
 //   - hash-join decorrelation         -> Q8, Q9 (reference chasing)
 //   - lazy let evaluation             -> Q12 (pruned value join)
-// plus a rel-operator microbenchmark of hash join vs nested loops on the
-// shredded closed_auction |x| person join (the Q8 shape).
 
 #include <cstdio>
 
@@ -14,8 +13,6 @@
 #include "gen/generator.h"
 #include "query/evaluator.h"
 #include "query/parser.h"
-#include "rel/operators.h"
-#include "rel/shredder.h"
 #include "store/dom_store.h"
 #include "store/edge_store.h"
 #include "util/logging.h"
@@ -75,9 +72,8 @@ int Main(int argc, char** argv) {
   };
   std::vector<Ablation> ablations;
   {
-    Ablation a{"structural summary + tag index", {6, 7}, all_on};
+    Ablation a{"structural summary", {6, 7}, all_on};
     a.off.use_path_index = false;
-    a.off.use_tag_index = false;
     ablations.push_back(std::move(a));
   }
   {
@@ -93,11 +89,6 @@ int Main(int argc, char** argv) {
   {
     Ablation a{"sort-merge band join", {11, 12}, all_on};
     a.off.band_join = false;
-    ablations.push_back(std::move(a));
-  }
-  {
-    Ablation a{"arena result construction", {10, 13, 19}, all_on};
-    a.off.arena_construction = false;
     ablations.push_back(std::move(a));
   }
   // The band join removes Q11/Q12's inner loop entirely, so the lazy-let
@@ -190,47 +181,7 @@ int Main(int argc, char** argv) {
     w.EndObject();
     w.EndObject();
     std::printf("%s\n", w.str().c_str());
-    return 0;
   }
-
-  // rel-operator microbench: person |x| closed_auction (the Q8 join) as a
-  // hash join vs a nested-loop join.
-  std::printf("--- rel operators: hash join vs nested loops (Q8 shape) ---\n");
-  auto parsed_doc = xml::Document::Parse(doc_text);
-  XMARK_CHECK(parsed_doc.ok());
-  auto tables = rel::ShredAuctionDocument(*parsed_doc);
-  XMARK_CHECK(tables.ok());
-  const int pid = tables->persons->ColumnIndex("id");
-  const int buyer = tables->closed_auctions->ColumnIndex("buyer");
-
-  PhaseTimer hash_timer;
-  rel::HashJoin hash_join(
-      std::make_unique<rel::TableScan>(tables->persons.get()),
-      std::make_unique<rel::TableScan>(tables->closed_auctions.get()),
-      static_cast<size_t>(pid),
-      static_cast<size_t>(buyer) + 0);
-  auto hash_rows = rel::Collect(&hash_join);
-  XMARK_CHECK(hash_rows.ok());
-  const double hash_ms = hash_timer.ElapsedWallMillis();
-
-  PhaseTimer nl_timer;
-  const size_t person_cols = tables->persons->num_columns();
-  rel::NestedLoopJoin nl_join(
-      std::make_unique<rel::TableScan>(tables->persons.get()),
-      std::make_unique<rel::TableScan>(tables->closed_auctions.get()),
-      [&](const rel::Row& l, const rel::Row& r) {
-        (void)person_cols;
-        return std::get<std::string>(l[pid]) ==
-               std::get<std::string>(r[buyer]);
-      });
-  auto nl_rows = rel::Collect(&nl_join);
-  XMARK_CHECK(nl_rows.ok());
-  const double nl_ms = nl_timer.ElapsedWallMillis();
-
-  std::printf("hash join: %.2f ms (%zu rows), nested loops: %.2f ms "
-              "(%zu rows), speedup %.1fx\n",
-              hash_ms, hash_rows->size(), nl_ms, nl_rows->size(),
-              nl_ms / std::max(0.001, hash_ms));
   return 0;
 }
 

@@ -227,8 +227,10 @@ const AstNode* IdLiteralOf(const Step& step) {
   return nullptr;
 }
 
-}  // namespace
+bool AnalyzeBandShape(const AstNode& flwor, BandJoinPlan* out);
 
+// Access-path choice for one step, from options x store capabilities x
+// static predicate shape.
 StepPlan ComputeStepPlan(const Step& step, const EvaluatorOptions& options,
                          const StorageCapabilities& caps) {
   StepPlan plan;
@@ -245,33 +247,19 @@ StepPlan ComputeStepPlan(const Step& step, const EvaluatorOptions& options,
         step.test == Step::Test::kName) {
       plan.id_literal = IdLiteralOf(step);
     }
-    if (step.test == Step::Test::kName && caps.children_by_tag) {
-      plan.access = StepPlan::Access::kChildrenByTag;
-    } else if (options.child_cursors) {
-      plan.access = StepPlan::Access::kChildCursor;
-    } else {
-      plan.access = StepPlan::Access::kChildChain;
-    }
+    plan.access = step.test == Step::Test::kName && caps.children_by_tag
+                      ? StepPlan::Access::kChildrenByTag
+                      : StepPlan::Access::kChildCursor;
     return plan;
   }
-  // Descendant axis. A store advertising interval_descendants answers the
-  // cursor with a clustered range scan — always the best path. Without an
-  // interval encoding the cursor is a generic per-node walk, so a
-  // materialized tag-index slice wins when one is available.
-  const bool tag_index_ok = options.use_tag_index && caps.tag_index &&
-                            step.test == Step::Test::kName;
-  if (options.descendant_cursors && caps.interval_descendants) {
-    plan.access = StepPlan::Access::kDescendantCursor;
-  } else if (tag_index_ok) {
-    plan.access = StepPlan::Access::kTagIndex;
-  } else if (options.descendant_cursors) {
-    plan.access = StepPlan::Access::kDescendantCursor;  // generic walk
-  } else {
-    plan.access = StepPlan::Access::kDescendantDfs;
-  }
+  // Descendant axis: every store answers the cursor with a range scan over
+  // its encoding of the subtree interval (consulting its own tag index
+  // where it keeps one).
+  plan.access = StepPlan::Access::kDescendantCursor;
   return plan;
 }
 
+// Plan for one kPath node (cacheability, path-index prefix, step access).
 PathPlan ComputePathPlan(const AstNode& path, const EvaluatorOptions& options,
                          const StorageCapabilities& caps) {
   PathPlan plan;
@@ -299,6 +287,10 @@ PathPlan ComputePathPlan(const AstNode& path, const EvaluatorOptions& options,
 // Join analysis
 // ---------------------------------------------------------------------------
 
+// Join analysis for one FLWOR: detects the decorrelatable equi-join shape
+// and picks the strategy allowed by `options`. Also flags the band
+// comparison shape (strategy selection for bands happens at the enclosing
+// `let`, see AnalyzeBandLet).
 void AnalyzeFlworJoin(const AstNode& flwor, const EvaluatorOptions& options,
                       FlworPlan* out) {
   *out = FlworPlan{};
@@ -361,6 +353,10 @@ void AnalyzeFlworJoin(const AstNode& flwor, const EvaluatorOptions& options,
   } while (false);
 }
 
+// True when `flwor` matches the band shape
+//   for $v in <invariant> where <outer> OP <numeric inner($v)> return $v
+// (OP a non-equality comparison). Fills `out` with the normalized plan
+// (outer side on the left of `op`).
 bool AnalyzeBandShape(const AstNode& flwor, BandJoinPlan* out) {
   if (flwor.kind != AstKind::kFlwor) return false;
   if (flwor.clauses.size() != 1 || flwor.clauses[0].is_let) return false;
@@ -436,8 +432,6 @@ bool AnalyzeBandShape(const AstNode& flwor, BandJoinPlan* out) {
   return true;
 }
 
-namespace {
-
 // Every reference to `var` inside `node` appears as the sole argument of a
 // count() call. Shadowing rebinds of the same name bail out conservatively.
 bool CountOnlyUses(const AstNode& node, const std::string& var) {
@@ -459,8 +453,9 @@ bool CountOnlyUses(const AstNode& node, const std::string& var) {
   return ok;
 }
 
-}  // namespace
-
+// True when clause `clause_index` of `outer_flwor` is a `let` over a
+// band-shaped FLWOR whose variable is used only as count($var) within the
+// outer FLWOR. Fills `out` on success.
 bool AnalyzeBandLet(const AstNode& outer_flwor, size_t clause_index,
                     BandJoinPlan* out) {
   if (outer_flwor.kind != AstKind::kFlwor) return false;
@@ -494,8 +489,6 @@ bool AnalyzeBandLet(const AstNode& outer_flwor, size_t clause_index,
 // ---------------------------------------------------------------------------
 // Constructor templates
 // ---------------------------------------------------------------------------
-
-namespace {
 
 // Appends the template element for `ctor` (and, recursively, its nested
 // static constructors) to `plan->elements`; returns its index.
@@ -554,8 +547,11 @@ size_t LowerConstructorElement(const AstNode& ctor, ConstructPlan* plan) {
   return index;
 }
 
-}  // namespace
-
+// Compiles one kElementConstructor subtree into a ConstructPlan template:
+// the static element shell (nested constructors folded in), constant
+// attributes and constant text segments resolved at plan time, dynamic
+// holes recorded as expression pointers. Pure structure analysis — no
+// options or capabilities involved.
 ConstructPlan LowerConstructor(const AstNode& ctor) {
   ConstructPlan plan;
   plan.source = &ctor;
@@ -566,8 +562,6 @@ ConstructPlan LowerConstructor(const AstNode& ctor) {
 // ---------------------------------------------------------------------------
 // Whole-query lowering
 // ---------------------------------------------------------------------------
-
-namespace {
 
 void LowerNode(const AstNode& node, const EvaluatorOptions& options,
                const StorageCapabilities& caps, PlanAnnotations* plan) {
@@ -585,8 +579,7 @@ void LowerNode(const AstNode& node, const EvaluatorOptions& options,
         }
       }
     }
-  } else if (node.kind == AstKind::kElementConstructor &&
-             options.arena_construction) {
+  } else if (node.kind == AstKind::kElementConstructor) {
     // The template folds the whole static shell (nested constructors
     // included), so recursion continues only into the dynamic parts:
     // hole expressions and dynamic attribute value parts. A constructor
@@ -620,7 +613,6 @@ void LowerNode(const AstNode& node, const EvaluatorOptions& options,
 
 void BuildPlan(const ParsedQuery& query, const StorageAdapter& store,
                const EvaluatorOptions& options, PlanAnnotations* plan) {
-  plan->built_by_optimizer = true;
   plan->store_name = std::string(store.mapping_name());
   plan->store_uid = store.store_uid();
   plan->caps = store.Capabilities();
@@ -656,7 +648,6 @@ void BuildPlan(const ParsedQuery& query, const StorageAdapter& store,
 
 void BuildExprPlan(const AstNode& expr, const StorageAdapter& store,
                    const EvaluatorOptions& options, PlanAnnotations* plan) {
-  plan->built_by_optimizer = true;
   plan->store_name = std::string(store.mapping_name());
   plan->store_uid = store.store_uid();
   plan->caps = store.Capabilities();

@@ -78,7 +78,7 @@ constexpr uint32_t PipelineDispatch(CompiledPipeline::FilterKind filter,
 /// prolog's function declarations so a user function shadowing contains/
 /// starts-with/count refuses fusion instead of changing semantics.
 /// Pipeline ids are assigned densely in walk order (deterministic Explain
-/// output). Callers gate on options.compiled_pipelines && use_planner.
+/// output). Callers gate on options.compiled_pipelines.
 void FusePipelines(const ParsedQuery* query, const AstNode& root,
                    const StorageAdapter& store,
                    const EvaluatorOptions& options, PlanAnnotations* plan);

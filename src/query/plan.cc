@@ -15,17 +15,11 @@ uint64_t OptionsFingerprint(const EvaluatorOptions& o) {
   const auto bit = [&f](bool b) { f = (f << 1) | (b ? 1u : 0u); };
   bit(o.use_id_index);
   bit(o.use_path_index);
-  bit(o.use_tag_index);
   bit(o.hash_join);
   bit(o.band_join);
   bit(o.lazy_let);
   bit(o.cache_invariant_paths);
   bit(o.copy_results);
-  bit(o.use_planner);
-  bit(o.zero_copy_strings);
-  bit(o.child_cursors);
-  bit(o.descendant_cursors);
-  bit(o.arena_construction);
   bit(o.parallel_exec.enabled);
   bit(o.compiled_pipelines);
   // Execution-only knobs still key the cache: simpler one-key scheme, and
@@ -45,14 +39,8 @@ const char* StepAccessName(StepPlan::Access access) {
       return "children-by-tag";
     case StepPlan::Access::kChildCursor:
       return "child-cursor";
-    case StepPlan::Access::kChildChain:
-      return "child-chain";
     case StepPlan::Access::kDescendantCursor:
       return "descendant-cursor";
-    case StepPlan::Access::kTagIndex:
-      return "tag-index";
-    case StepPlan::Access::kDescendantDfs:
-      return "descendant-dfs";
   }
   return "?";
 }
@@ -91,24 +79,23 @@ class ExplainPrinter {
     const EvaluatorOptions& o = a.options;
     out_ += "plan store=" + (a.store_name.empty() ? std::string("?")
                                                   : a.store_name) +
-            " planner=" + (a.built_by_optimizer ? "on" : "off") + "\n";
+            "\n";
     out_ += "scope: " +
             (a.doc_scope.empty() ? std::string("default-document")
                                  : a.doc_scope) +
             "\n";
     out_ += StringPrintf(
-        "options: id-index=%d path-index=%d tag-index=%d hash-join=%d "
-        "band-join=%d lazy-let=%d invariant-cache=%d child-cursors=%d "
-        "descendant-cursors=%d arena-construct=%d\n",
-        o.use_id_index, o.use_path_index, o.use_tag_index, o.hash_join,
-        o.band_join, o.lazy_let, o.cache_invariant_paths, o.child_cursors,
-        o.descendant_cursors, o.arena_construction);
+        "options: id-index=%d path-index=%d hash-join=%d band-join=%d "
+        "lazy-let=%d invariant-cache=%d copy-results=%d "
+        "compiled-pipelines=%d parallel-exec=%d\n",
+        o.use_id_index, o.use_path_index, o.hash_join, o.band_join,
+        o.lazy_let, o.cache_invariant_paths, o.copy_results,
+        o.compiled_pipelines, o.parallel_exec.enabled);
     const StorageCapabilities& c = a.caps;
     out_ += StringPrintf(
         "capabilities: id-lookup=%d tag-index=%d path-index=%d "
-        "children-by-tag=%d interval-descendants=%d\n",
-        c.id_lookup, c.tag_index, c.path_index, c.children_by_tag,
-        c.interval_descendants);
+        "children-by-tag=%d\n",
+        c.id_lookup, c.tag_index, c.path_index, c.children_by_tag);
   }
 
   void Footer() {

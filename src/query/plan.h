@@ -39,16 +39,15 @@ class ConstructExec;
 
 /// Optimizer toggles. Each engine configuration (systems A-G) enables the
 /// subset its architecture plausibly provides; the differences drive the
-/// Table 3 contrasts. Historically these were interpreted per node at
-/// execution time; with `use_planner` on they are resolved once per query
-/// into a QueryPlan and the evaluator just executes the chosen plan.
+/// Table 3 contrasts. They are resolved once per query into a QueryPlan
+/// and the evaluator just executes the chosen plan. Besides the paper's
+/// system knobs there are two runtime choices: compiled pipelines and
+/// intra-query parallelism.
 struct EvaluatorOptions {
   /// Resolve [@id="lit"] predicates through the store's ID index.
   bool use_id_index = true;
   /// Resolve root child-paths through the structural summary.
   bool use_path_index = true;
-  /// Resolve descendant steps through the tag index.
-  bool use_tag_index = true;
   /// Decorrelate nested equi-join FLWORs into hash joins.
   bool hash_join = true;
   /// Rewrite the Q11/Q12 numeric band shape (`outer > k * inner`, used
@@ -64,40 +63,12 @@ struct EvaluatorOptions {
   /// returns copies, a large part of its overhead).
   bool copy_results = false;
 
-  /// Lower the query into a QueryPlan before execution (join strategies,
-  /// per-step access paths, invariant hoisting decided once per query).
-  /// Off = the legacy tree-walking interpreter that re-decides per node at
-  /// runtime; results are byte-identical either way.
-  bool use_planner = true;
-
-  // --- Storage-access fast paths (implementation quality, not a paper
-  // system knob; on for every system, off for ablation benchmarks) -------
-
-  /// Consume string data through zero-copy views (TextView/AttributeView/
-  /// AppendStringValue) on comparison and predicate paths instead of
-  /// materializing a std::string per node.
-  bool zero_copy_strings = true;
-  /// Walk child steps through batched, tag-filtered store cursors instead
-  /// of a virtual FirstChild/NextSibling call pair per node.
-  bool child_cursors = true;
-  /// Walk descendant steps through batched, interval-encoded store cursors
-  /// (one clustered range scan per input node) instead of the generic DFS
-  /// or a materialized DescendantsByTag vector.
-  bool descendant_cursors = true;
-  /// Build element-constructor results through plan-time ConstructPlan
-  /// templates instantiated into a per-run NodeArena (block-allocated
-  /// nodes, shared text buffer) instead of one shared_ptr allocation per
-  /// node and one std::string per text child. Requires use_planner
-  /// (templates are plan annotations); output is byte-identical either
-  /// way.
-  bool arena_construction = true;
   /// Fuse hot FLWOR shapes (scan → filter → compare → emit chains) into
   /// CompiledPipeline loops: monomorphic template instantiations in
   /// exec.cc drain the underlying id interval or cursor range straight
   /// into the final result, with no intermediate Sequence per operator
   /// boundary and no per-batch virtual dispatch. Unfusable shapes run the
-  /// regular operators; output is byte-identical either way. Requires
-  /// use_planner (pipelines are plan annotations).
+  /// regular operators; output is byte-identical either way.
   bool compiled_pipelines = true;
 
   /// Intra-query morsel parallelism. Large descendant/tag-index scans are
@@ -189,12 +160,9 @@ struct StepPlan {
     kChildrenByTag,     // physical child slots/tables (falls back to a
                         // cursor when the store answers nullopt at runtime)
     kChildCursor,       // batched tag-filtered child cursor
-    kChildChain,        // generic FirstChild/NextSibling walk
-    kDescendantCursor,  // batched interval-encoded descendant cursor
-    kTagIndex,          // materialized DescendantsByTag slice
-    kDescendantDfs,     // generic DFS over child scans
+    kDescendantCursor,  // batched descendant cursor over the subtree
   };
-  Access access = Access::kChildChain;
+  Access access = Access::kChildCursor;
   /// Non-null: the step carries an [@id = "literal"] predicate and the
   /// store supports ID lookup — resolve through NodeById first.
   const AstNode* id_literal = nullptr;
@@ -375,7 +343,6 @@ struct FlworPlan {
 /// Maps are keyed by AstNode address; annotations must never outlive the
 /// ParsedQuery they were lowered from (the cache stores both together).
 struct PlanAnnotations {
-  bool built_by_optimizer = false;
   std::string store_name;       // mapping_name at plan time (Explain)
   std::string doc_scope;        // document scope ("" = default document)
   uint64_t store_uid = 0;       // store identity the plan was built for
@@ -405,15 +372,15 @@ class QueryPlan {
   /// The active annotation view: the shared (cached) annotations when one
   /// was adopted, else the locally built ones.
   const PlanAnnotations& ann() const { return shared_ ? *shared_ : local_; }
-  /// The locally owned annotations (optimizer output target; also the
-  /// overflow target for legacy-mode lazy FLWOR entries).
+  /// The locally owned annotations (optimizer output target).
   PlanAnnotations* mutable_annotations() { return &local_; }
   /// Adopts a cached compilation; Find* then consult it first.
   void AdoptShared(std::shared_ptr<const PlanAnnotations> shared) {
     shared_ = std::move(shared);
   }
 
-  /// Non-null when the optimizer planned this path (use_planner on).
+  /// The plan of a kPath node. Non-null for every path of the lowered
+  /// query.
   const PathPlan* FindPath(const AstNode* node) const {
     const auto& paths = ann().paths;
     auto it = paths.find(node);
@@ -425,19 +392,12 @@ class QueryPlan {
     auto it = band_lets.find(let_expr);
     return it == band_lets.end() ? nullptr : &it->second;
   }
-  /// FLWOR strategy; when absent (legacy interpreter mode) the evaluator
-  /// fills the entry on first visit through the same analysis. Lazy
-  /// entries land in the local overflow map, so an adopted shared plan is
-  /// never written to.
+  /// The join strategy of a FLWOR node. Non-null for every FLWOR of the
+  /// lowered query.
   const FlworPlan* FindFlwor(const AstNode* node) const {
     const auto& flwors = ann().flwors;
     auto it = flwors.find(node);
-    if (it != flwors.end()) return &it->second;
-    if (shared_ != nullptr) {
-      auto local_it = local_.flwors.find(node);
-      if (local_it != local_.flwors.end()) return &local_it->second;
-    }
-    return nullptr;
+    return it == flwors.end() ? nullptr : &it->second;
   }
   /// Non-null when `node` (a FLWOR) was fused into a compiled pipeline.
   const CompiledPipeline* FindPipeline(const AstNode* node) const {
@@ -445,8 +405,8 @@ class QueryPlan {
     auto it = pipelines.find(node);
     return it == pipelines.end() ? nullptr : &it->second;
   }
-  /// Non-null when `node` (a kElementConstructor) was lowered into a
-  /// constructor template.
+  /// The template of a kElementConstructor node. Non-null for every
+  /// constructor of the lowered query.
   const ConstructPlan* FindConstruct(const AstNode* node) const {
     const auto& constructs = ann().constructs;
     auto it = constructs.find(node);

@@ -101,11 +101,11 @@ class ChildCursor {
 /// handles are preorder ids, so a subtree is the contiguous handle interval
 /// (base, subtree_end) and each store scans whatever physical encoding of
 /// that interval it keeps: the edge relation's subtree_end_ array, the
-/// native document's dense preorder node table, the fragmented mapping's
-/// path-table slices, or (for stores without interval structures) a
+/// native document's dense preorder node table (or its tag index), the
+/// fragmented mapping's path-table slices, the inlined mapping's dense tag
+/// array, or (for the fragmented mapping's unfiltered scans) the default
 /// stack-free preorder walk over the sibling/parent links. The evaluator
-/// drains it in batches, replacing the seed's one-ChildCursor-per-element
-/// DFS on `//tag` steps with one clustered range scan.
+/// drains it in batches: a `//tag` step is one clustered range scan.
 class DescendantCursor {
  public:
   /// Copies up to `cap` matching descendant handles into `out` in document
@@ -139,19 +139,16 @@ class DescendantCursor {
 
 /// Plan-time advertisement of the physical access structures a mapping
 /// provides. The optimizer consults this once per query to pick access
-/// paths (id probe, tag-index slice, path-table extent, interval-encoded
-/// descendant scan) instead of re-testing Supports*() virtuals per node at
-/// execution time. The default implementation of
-/// StorageAdapter::Capabilities() derives the index bits from the legacy
-/// Supports* hooks; stores with physical child/descendant layouts override
-/// it to advertise the extra bits.
+/// paths (id probe, path-table extent, physical child slots) instead of
+/// re-testing Supports*() virtuals per node at execution time. The
+/// default implementation of StorageAdapter::Capabilities() derives the
+/// index bits from the Supports* hooks; stores with physical child layouts
+/// override it to advertise the extra bit.
 struct StorageCapabilities {
   bool id_lookup = false;       // NodeById
-  bool tag_index = false;       // NodesByTag / DescendantsByTag
+  bool tag_index = false;       // NodesByTag / tag-partitioned tables
   bool path_index = false;      // PathExtent (structural summary)
   bool children_by_tag = false; // ChildrenByTag physical child slots/tables
-  bool interval_descendants = false;  // clustered descendant range scans
-                                      // (subtree intervals, table slices)
 };
 
 /// Abstract physical XML mapping. The query evaluator is written entirely
@@ -220,13 +217,6 @@ class StorageAdapter {
     std::string out;
     AppendStringValue(n, &out);
     return out;
-  }
-
-  std::optional<std::string> Attribute(NodeHandle n,
-                                       std::string_view name) const {
-    const auto view = AttributeView(n, name);
-    if (!view.has_value()) return std::nullopt;
-    return std::string(*view);
   }
 
   /// Writes up to `cap` of `n`'s attributes, in document order, into
@@ -362,13 +352,6 @@ class StorageAdapter {
   virtual const std::vector<NodeHandle>* NodesByTag(
       xml::NameId /*tag*/) const {
     return nullptr;
-  }
-  /// Descendant elements of `n` with tag `tag`, in document order, resolved
-  /// through an index rather than a subtree walk. nullopt when the store
-  /// has no structure supporting this.
-  virtual std::optional<std::vector<NodeHandle>> DescendantsByTag(
-      NodeHandle /*n*/, xml::NameId /*tag*/) const {
-    return std::nullopt;
   }
   /// Children of `n` with tag `tag` resolved through the physical layout
   /// (fragmented tables, inlined child slots). nullopt → caller iterates

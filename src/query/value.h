@@ -37,8 +37,8 @@ struct NodeRef {
 /// references to stored nodes (which are deep-copied only at serialization
 /// time).
 ///
-/// Two storage regimes share this struct. Heap nodes (the legacy
-/// per-`make_shared` path) own their tag and text in the `tag`/`text`
+/// Two storage regimes share this struct. Heap nodes (DeepCopyNode's
+/// copies and hand-built trees) own their tag and text in the `tag`/`text`
 /// strings. Arena nodes (built by ConstructExec from a ConstructPlan
 /// template) leave those strings empty and point `tag_ref`/`text_ref` into
 /// NodeArena-owned memory instead — consumers must go through `tag_view()`

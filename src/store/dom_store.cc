@@ -29,82 +29,49 @@ StatusOr<std::unique_ptr<DomStore>> DomStore::Load(
 }
 
 void DomStore::BuildIndexes() {
+  if (options_.build_path_summary) BuildSummary();
+  if (!options_.build_tag_index && !options_.build_id_index) return;
   const xml::NameId id_attr = doc_.names().Lookup("id");
-  if (options_.build_path_summary) {
-    summary_.clear();
-    summary_.push_back(SummaryNode{});  // virtual document node
-  }
-  // Single DFS builds every index; summary positions are tracked with an
-  // explicit stack of summary indices parallel to the element stack.
-  std::vector<size_t> summary_stack{0};
-  std::vector<xml::NodeId> node_stack;
-
   for (xml::NodeId n = 0; n < doc_.num_nodes(); ++n) {
-    // Maintain the stacks: pop ancestors that do not contain n.
-    while (!node_stack.empty() &&
-           !(n >= node_stack.back() && n < doc_.SubtreeEnd(node_stack.back()))) {
-      node_stack.pop_back();
-      if (options_.build_path_summary) summary_stack.pop_back();
-    }
     if (!doc_.IsElement(n)) continue;
-
-    const xml::NameId tag = doc_.name(n);
     if (options_.build_tag_index) {
-      tag_index_[tag].push_back(n);
+      tag_index_[doc_.name(n)].push_back(n);
     }
     if (options_.build_id_index && id_attr != xml::kInvalidName) {
       const auto id = doc_.attribute(n, id_attr);
       if (id.has_value()) id_index_.emplace(std::string(*id), n);
     }
-    if (options_.build_path_summary) {
-      SummaryNode& parent = summary_[summary_stack.back()];
-      auto it = parent.children.find(tag);
-      size_t idx;
-      if (it == parent.children.end()) {
-        idx = summary_.size();
-        summary_[summary_stack.back()].children.emplace(tag, idx);
-        summary_.push_back(SummaryNode{});
-        summary_.back().tag = tag;
-      } else {
-        idx = it->second;
-      }
-      summary_[idx].extent.push_back(n);
-      summary_stack.push_back(idx);
-    }
-    node_stack.push_back(n);
   }
 }
 
 void DomStore::BuildSummary() {
-  // Same traversal as BuildIndexes, restricted to the structural summary
-  // (its id assignment and extent order are inherently sequential — and
-  // cheap next to the parse).
+  // One preorder pass; summary ids and extent order are inherently
+  // sequential (and cheap next to the parse). `open` holds the element
+  // ancestors of the current node with their summary indices: in preorder
+  // the ancestors of n are exactly the open elements up to parent(n), so
+  // popping until the top is parent(n) keeps the pass linear in the
+  // document size whatever its depth.
   summary_.clear();
-  summary_.push_back(SummaryNode{});
-  std::vector<size_t> summary_stack{0};
-  std::vector<xml::NodeId> node_stack;
+  summary_.push_back(SummaryNode{});  // virtual document node
+  std::vector<std::pair<xml::NodeId, size_t>> open;
   for (xml::NodeId n = 0; n < doc_.num_nodes(); ++n) {
-    while (!node_stack.empty() &&
-           !(n >= node_stack.back() && n < doc_.SubtreeEnd(node_stack.back()))) {
-      node_stack.pop_back();
-      summary_stack.pop_back();
-    }
     if (!doc_.IsElement(n)) continue;
+    const xml::NodeId parent = doc_.parent(n);
+    while (!open.empty() && open.back().first != parent) open.pop_back();
+    const size_t parent_idx = open.empty() ? 0 : open.back().second;
     const xml::NameId tag = doc_.name(n);
-    SummaryNode& parent = summary_[summary_stack.back()];
-    auto it = parent.children.find(tag);
+    auto it = summary_[parent_idx].children.find(tag);
     size_t idx;
-    if (it == parent.children.end()) {
+    if (it == summary_[parent_idx].children.end()) {
       idx = summary_.size();
-      summary_[summary_stack.back()].children.emplace(tag, idx);
+      summary_[parent_idx].children.emplace(tag, idx);
       summary_.push_back(SummaryNode{});
       summary_.back().tag = tag;
     } else {
       idx = it->second;
     }
     summary_[idx].extent.push_back(n);
-    summary_stack.push_back(idx);
-    node_stack.push_back(n);
+    open.emplace_back(n, idx);
   }
 }
 
@@ -337,23 +304,6 @@ const std::vector<query::NodeHandle>* DomStore::NodesByTag(
   if (!options_.build_tag_index) return nullptr;
   const auto it = tag_index_.find(tag);
   return it == tag_index_.end() ? nullptr : &it->second;
-}
-
-std::optional<std::vector<query::NodeHandle>> DomStore::DescendantsByTag(
-    query::NodeHandle n, xml::NameId tag) const {
-  if (!options_.build_tag_index) return std::nullopt;
-  const auto it = tag_index_.find(tag);
-  if (it == tag_index_.end()) return std::vector<query::NodeHandle>{};
-  // Preorder ids: the subtree of n is the contiguous handle interval
-  // [n+1, SubtreeEnd(n)), so a tag-index slice is exactly the answer.
-  const auto& handles = it->second;
-  const query::NodeHandle lo = n + 1;
-  const query::NodeHandle hi =
-      doc_.SubtreeEnd(static_cast<xml::NodeId>(n));
-  auto begin = std::lower_bound(handles.begin(), handles.end(), lo);
-  auto end = std::lower_bound(handles.begin(), handles.end(),
-                              static_cast<query::NodeHandle>(hi));
-  return std::vector<query::NodeHandle>(begin, end);
 }
 
 std::optional<std::vector<query::NodeHandle>> DomStore::PathExtent(

@@ -93,7 +93,6 @@ class EdgeStore : public query::StorageAdapter {
   query::StorageCapabilities Capabilities() const override {
     query::StorageCapabilities caps;
     caps.id_lookup = true;
-    caps.interval_descendants = true;  // subtree_end_ id intervals
     return caps;
   }
 

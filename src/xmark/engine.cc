@@ -116,14 +116,7 @@ StatusOr<PreparedQuery> PrepareThroughCache(
             ResolveCatalogNames(store, out.parsed, &out.catalog_probes,
                                 &out.name_tests);
             auto annotations = std::make_shared<query::PlanAnnotations>();
-            annotations->store_name = std::string(store.mapping_name());
-            annotations->store_uid = store.store_uid();
-            annotations->caps = store.Capabilities();
-            annotations->options = options;
-            if (options.use_planner) {
-              query::BuildPlan(out.parsed, store, options,
-                               annotations.get());
-            }
+            query::BuildPlan(out.parsed, store, options, annotations.get());
             out.annotations = std::move(annotations);
             return out;
           }));
@@ -390,7 +383,6 @@ std::unique_ptr<Engine> Engine::Create(SystemId id) {
     case SystemId::kA:
       // Edge store has no tag/path structures; cost-based optimizer.
       opts.use_id_index = true;
-      opts.use_tag_index = false;
       opts.use_path_index = false;
       opts.hash_join = true;
       opts.lazy_let = true;
@@ -399,7 +391,6 @@ std::unique_ptr<Engine> Engine::Create(SystemId id) {
     case SystemId::kB:
       // Fragmented store exposes path tables; cost-based optimizer.
       opts.use_id_index = true;
-      opts.use_tag_index = true;   // realized by the per-path tables
       opts.use_path_index = true;  // path tables ARE the path index
       opts.hash_join = true;
       opts.lazy_let = true;
@@ -408,16 +399,16 @@ std::unique_ptr<Engine> Engine::Create(SystemId id) {
     case SystemId::kC:
       // Inlined schema: direct child slots, but no tag/path index.
       opts.use_id_index = true;
-      opts.use_tag_index = false;
       opts.use_path_index = false;
       opts.hash_join = true;
       opts.lazy_let = true;
       opts.cache_invariant_paths = true;
       break;
     case SystemId::kD:
-      // Native store with the full index set (structural summary).
+      // Native store with the full index set (structural summary). Its
+      // tag index is a store option (BuildStoreForSystem), consulted by
+      // the store's descendant cursor.
       opts.use_id_index = true;
-      opts.use_tag_index = true;
       opts.use_path_index = true;
       opts.hash_join = true;
       opts.lazy_let = true;
@@ -426,7 +417,6 @@ std::unique_ptr<Engine> Engine::Create(SystemId id) {
     case SystemId::kE:
       // Heuristic optimizer: joins yes, but eager lets and no summary.
       opts.use_id_index = true;
-      opts.use_tag_index = false;
       opts.use_path_index = false;
       opts.hash_join = true;
       opts.lazy_let = false;
@@ -435,7 +425,6 @@ std::unique_ptr<Engine> Engine::Create(SystemId id) {
     case SystemId::kF:
       // Nested-loop-only executor.
       opts.use_id_index = false;
-      opts.use_tag_index = false;
       opts.use_path_index = false;
       opts.hash_join = false;
       opts.lazy_let = false;
@@ -445,7 +434,6 @@ std::unique_ptr<Engine> Engine::Create(SystemId id) {
       // Embedded processor: no access structures, copies results, reloads
       // the document per query.
       opts.use_id_index = false;
-      opts.use_tag_index = false;
       opts.use_path_index = false;
       opts.hash_join = false;
       opts.lazy_let = false;

@@ -1,14 +1,20 @@
 // Golden results: the serialized bytes of Q1-Q20 on every system A-G over
-// one fixed document (sf 0.005, generator seed 42), pinned as an FNV-1a 64
-// hash plus the byte length. The table was recorded per system from the
-// recursive stored-node serializer that preceded the iterative
-// preorder-interval writer; all seven systems produced the same bytes, so
-// one row serves them all. It proves byte identity across serializer
-// rewrites and across stores (System G covers the deep copy that
-// copy_results makes).
+// fixed documents, pinned as an FNV-1a 64 hash plus the byte length per
+// query. Each row was recorded per system before the code it guards
+// changed, and all seven systems produced the same bytes, so one row per
+// document serves them all:
+//   - (sf 0.005, seed 42): recorded from the recursive stored-node
+//     serializer that preceded the iterative preorder-interval writer;
+//   - (sf 0.01, seed 7): recorded from the evaluator that still carried
+//     the per-call interpreter, materializing compares, FirstChild /
+//     NextSibling chains, DFS descendant walks and heap-built
+//     constructors, before those paths were deleted.
+// The rows prove byte identity across serializer and evaluator rewrites
+// and across stores (System G covers the deep copy that copy_results
+// makes).
 //
 // On a mismatch the test prints each system's observed row in the layout
-// of kGolden below; replace the table only when an output change is
+// of the tables below; replace a row only when an output change is
 // intended and explained.
 
 #include <gtest/gtest.h>
@@ -34,8 +40,8 @@ struct Golden {
 
 constexpr int kQueries = 20;
 
-// kGolden[query - 1].
-constexpr Golden kGolden[kQueries] = {
+// kGoldenSf0005Seed42[query - 1].
+constexpr Golden kGoldenSf0005Seed42[kQueries] = {
     {0xf6b9603f305c40dcull, 11}, {0xc01a2deb5ea63531ull, 1255},
     {0x60b843f3b19236a2ull, 147}, {0xcbf29ce484222325ull, 0},
     {0x08030b07b4c32ac4ull, 2}, {0x4568c018181ca2c7ull, 3},
@@ -48,6 +54,20 @@ constexpr Golden kGolden[kQueries] = {
     {0x5de391777de36e42ull, 5558}, {0x132d2708af5f644full, 100},
 };
 
+// kGoldenSf001Seed7[query - 1].
+constexpr Golden kGoldenSf001Seed7[kQueries] = {
+    {0xd29fe8d5673dc4f2ull, 12}, {0x833b56815fc6f7f2ull, 2539},
+    {0x1266a09fade21a14ull, 412}, {0xcbf29ce484222325ull, 0},
+    {0x07f20707b4b4b0c5ull, 2}, {0x603b3a18278a68fcull, 3},
+    {0x2bf0c91809d526d5ull, 3}, {0x00d2d97e9999829eull, 9616},
+    {0x20861aa4c4c291efull, 8872}, {0x33704388de7217d7ull, 59640},
+    {0x11c29a9eaab73c73ull, 9747}, {0x8ca1127d78a19c1dull, 2936},
+    {0x2bdd5ed594716decull, 35764}, {0xeab4340d768b3bb3ull, 2046},
+    {0x3c30a40da0305f7aull, 445}, {0x8749d26650e3124eull, 265},
+    {0xd244a480d39ea881ull, 3940}, {0xee2381e44f070611ull, 633},
+    {0x5b43cd03a16e6a63ull, 11164}, {0xb2a7ce0598dcbcceull, 101},
+};
+
 uint64_t Fnv1a64(std::string_view bytes) {
   uint64_t h = 0xcbf29ce484222325ull;
   for (const unsigned char c : bytes) {
@@ -57,20 +77,18 @@ uint64_t Fnv1a64(std::string_view bytes) {
   return h;
 }
 
-const std::string& GoldenDocument() {
-  static const std::string* const kDoc = [] {
-    gen::GeneratorOptions opts;
-    opts.scale = 0.005;
-    opts.seed = 42;
-    return new std::string(gen::XmlGen(opts).GenerateToString());
-  }();
-  return *kDoc;
+std::string GenerateDocument(double scale, uint64_t seed) {
+  gen::GeneratorOptions opts;
+  opts.scale = scale;
+  opts.seed = seed;
+  return gen::XmlGen(opts).GenerateToString();
 }
 
-TEST(GoldenResults, Q1ToQ20MatchOnEverySystem) {
+void ExpectGoldenOnEverySystem(const std::string& document,
+                               const Golden (&golden)[kQueries]) {
   for (const SystemId id : kAllSystems) {
     auto engine = Engine::Create(id);
-    ASSERT_TRUE(engine->Load(GoldenDocument()).ok()) << SystemLabel(id);
+    ASSERT_TRUE(engine->Load(document).ok()) << SystemLabel(id);
     Golden observed[kQueries];
     bool row_matches = true;
     for (int q = 1; q <= kQueries; ++q) {
@@ -79,7 +97,7 @@ TEST(GoldenResults, Q1ToQ20MatchOnEverySystem) {
           << SystemLabel(id) << " Q" << q << ": " << result.status().ToString();
       const std::string bytes = query::SerializeSequence(*result);
       observed[q - 1] = Golden{Fnv1a64(bytes), bytes.size()};
-      const Golden& want = kGolden[q - 1];
+      const Golden& want = golden[q - 1];
       const bool match = want.fnv1a == observed[q - 1].fnv1a &&
                          want.bytes == observed[q - 1].bytes;
       EXPECT_TRUE(match) << "system " << SystemLabel(id) << " Q" << q
@@ -97,6 +115,14 @@ TEST(GoldenResults, Q1ToQ20MatchOnEverySystem) {
       std::printf("\n");
     }
   }
+}
+
+TEST(GoldenResults, Q1ToQ20MatchOnEverySystem) {
+  ExpectGoldenOnEverySystem(GenerateDocument(0.005, 42), kGoldenSf0005Seed42);
+}
+
+TEST(GoldenResults, Q1ToQ20MatchOnEverySystemSf001Seed7) {
+  ExpectGoldenOnEverySystem(GenerateDocument(0.01, 7), kGoldenSf001Seed7);
 }
 
 }  // namespace

@@ -1,10 +1,10 @@
 // Property test: the evaluator must produce identical results under every
 // combination of optimizer features — the features may only change cost,
-// never semantics. Runs a representative query set over all 2^9 option
-// combinations against the fully-indexed native store, each combination
-// with the planner both on and off, plus cross-store Q1-Q20 byte-parity
-// for planner on vs off (the planner is a lowering of the interpreter, not
-// a semantic change) and for arena construction on vs off.
+// never semantics. Runs a representative query set over all 2^6
+// combinations of the independent option bits against the fully-indexed
+// native store, plus cross-store Q1-Q20 byte-parity between the
+// all-features plan, the nested-loop plan (hash and band joins off, System
+// F's strategy) and the generic operators (compiled pipelines off).
 
 #include <gtest/gtest.h>
 
@@ -55,14 +55,11 @@ const store::DomStore& Store() {
 EvaluatorOptions FromMask(int mask) {
   EvaluatorOptions options;
   options.use_id_index = mask & 1;
-  options.use_tag_index = mask & 2;
-  options.use_path_index = mask & 4;
-  options.hash_join = mask & 8;
-  options.lazy_let = mask & 16;
-  options.cache_invariant_paths = mask & 32;
-  options.descendant_cursors = mask & 64;
-  options.arena_construction = mask & 128;
-  options.compiled_pipelines = mask & 256;
+  options.use_path_index = mask & 2;
+  options.hash_join = mask & 4;
+  options.lazy_let = mask & 8;
+  options.cache_invariant_paths = mask & 16;
+  options.compiled_pipelines = mask & 32;
   // The band join rides the join-strategy bit: mask 0 stays the fully
   // naive nested-loop baseline.
   options.band_join = options.hash_join;
@@ -70,9 +67,9 @@ EvaluatorOptions FromMask(int mask) {
 }
 
 // Queries covering every feature: exact match (id index), regular paths
-// (tag/path index), reference chasing (hash join), value join (band join,
+// (path index), reference chasing (hash join), value join (band join,
 // lazy let + invariant cache), ordered access and aggregation, plus
-// template-heavy result construction (arena construction, Q10/Q13).
+// template-heavy result construction (Q10/Q13).
 const int kQueries[] = {1, 2, 6, 7, 8, 10, 11, 12, 13, 20};
 
 class OptionsMatrix : public ::testing::TestWithParam<int> {};
@@ -95,30 +92,6 @@ TEST_P(OptionsMatrix, SameResultsAsAllFeaturesOff) {
     EXPECT_TRUE(bench::ResultsEquivalent(*expected, *actual, eq))
         << "Q" << q << " differs under option mask " << GetParam() << ": "
         << bench::ExplainDifference(*expected, *actual, eq);
-  }
-}
-
-// Planner parity per mask: lowering the same toggles into a QueryPlan must
-// not change a byte relative to the runtime-decided interpreter.
-TEST_P(OptionsMatrix, PlannerLoweringIsByteIdentical) {
-  EvaluatorOptions planned = FromMask(GetParam());
-  planned.use_planner = true;
-  EvaluatorOptions interpreted = planned;
-  interpreted.use_planner = false;
-  for (int q : kQueries) {
-    auto parsed = ParseQueryText(bench::GetQuery(q).text);
-    ASSERT_TRUE(parsed.ok()) << "Q" << q;
-
-    Evaluator with_planner(&Store(), planned);
-    auto a = with_planner.Run(*parsed);
-    ASSERT_TRUE(a.ok()) << "Q" << q << ": " << a.status();
-
-    Evaluator without_planner(&Store(), interpreted);
-    auto b = without_planner.Run(*parsed);
-    ASSERT_TRUE(b.ok()) << "Q" << q << ": " << b.status();
-
-    EXPECT_EQ(SerializeSequence(*a), SerializeSequence(*b))
-        << "Q" << q << " planner on/off diverges under mask " << GetParam();
   }
 }
 
@@ -194,10 +167,11 @@ TEST_P(OptionsMatrix, CatalogScansMatchAllFeaturesOff) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllCombinations, OptionsMatrix,
-                         ::testing::Range(0, 512));
+                         ::testing::Range(0, 64));
 
-// Cross-store planner parity: Q1-Q20 on all four physical mappings, every
-// optimization on, planner on vs off — byte-identical serialized results.
+// Cross-store plan parity: Q1-Q20 on all four physical mappings, every
+// optimization on, against the nested-loop plan, the generic operators and
+// the native store — byte-identical serialized results.
 class PlannerStoreParity : public ::testing::TestWithParam<int> {
  protected:
   static const StorageAdapter* StoreByIndex(int index) {
@@ -229,40 +203,36 @@ class PlannerStoreParity : public ::testing::TestWithParam<int> {
   }
 };
 
-TEST_P(PlannerStoreParity, Q1ToQ20ByteIdenticalPlannerOnOff) {
+TEST_P(PlannerStoreParity, Q1ToQ20ByteIdenticalAcrossPlansAndStores) {
   const int query = GetParam();
   auto parsed = ParseQueryText(bench::GetQuery(query).text);
   ASSERT_TRUE(parsed.ok());
-  for (int s = 0; s < 4; ++s) {
+  const EvaluatorOptions on;  // defaults: everything on
+  std::string reference;
+  for (int s = 3; s >= 0; --s) {  // the native store first: the reference
     const StorageAdapter* store = StoreByIndex(s);
-    EvaluatorOptions on;  // defaults: everything on, planner on
-    EvaluatorOptions off = on;
-    off.use_planner = false;
-    off.band_join = false;  // band rewrites exist only under the planner
-
     Evaluator planned(store, on);
     auto a = planned.Run(*parsed);
     ASSERT_TRUE(a.ok()) << store->mapping_name() << " Q" << query << ": "
                         << a.status();
-    Evaluator interpreted(store, off);
-    auto b = interpreted.Run(*parsed);
+    const std::string bytes = SerializeSequence(*a);
+    if (s == 3) reference = bytes;
+    EXPECT_EQ(bytes, reference)
+        << store->mapping_name() << " Q" << query
+        << " diverges from the native store";
+
+    // The join strategies are pure execution choices: the nested-loop
+    // plan must not change a byte.
+    EvaluatorOptions nested_loop = on;
+    nested_loop.hash_join = false;
+    nested_loop.band_join = false;
+    Evaluator naive(store, nested_loop);
+    auto b = naive.Run(*parsed);
     ASSERT_TRUE(b.ok()) << store->mapping_name() << " Q" << query << ": "
                         << b.status();
-    EXPECT_EQ(SerializeSequence(*a), SerializeSequence(*b))
+    EXPECT_EQ(bytes, SerializeSequence(*b))
         << store->mapping_name() << " Q" << query
-        << " diverges between planner and interpreter";
-
-    // Arena construction is a pure materialization strategy: planner on
-    // with the arena off must also match byte for byte.
-    EvaluatorOptions no_arena = on;
-    no_arena.arena_construction = false;
-    Evaluator heap_constructed(store, no_arena);
-    auto c = heap_constructed.Run(*parsed);
-    ASSERT_TRUE(c.ok()) << store->mapping_name() << " Q" << query << ": "
-                        << c.status();
-    EXPECT_EQ(SerializeSequence(*a), SerializeSequence(*c))
-        << store->mapping_name() << " Q" << query
-        << " diverges between arena and heap construction";
+        << " diverges between the join plans and the nested loop";
 
     // Compiled pipelines are a pure execution strategy: the fused
     // monomorphic loops must not change a byte relative to the generic
@@ -273,7 +243,7 @@ TEST_P(PlannerStoreParity, Q1ToQ20ByteIdenticalPlannerOnOff) {
     auto d = generic_ops.Run(*parsed);
     ASSERT_TRUE(d.ok()) << store->mapping_name() << " Q" << query << ": "
                         << d.status();
-    EXPECT_EQ(SerializeSequence(*a), SerializeSequence(*d))
+    EXPECT_EQ(bytes, SerializeSequence(*d))
         << store->mapping_name() << " Q" << query
         << " diverges between compiled pipelines and generic operators";
   }

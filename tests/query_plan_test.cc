@@ -1,6 +1,6 @@
 // Planner-layer tests: golden Explain() text for Q8/Q11/Q12 (hash join vs
 // band join chosen), store capability advertisement, and band-join
-// semantics (byte-identical to the nested-loop interpreter across every
+// semantics (byte-identical to the nested-loop plan across every
 // comparison direction and operand order).
 
 #include <gtest/gtest.h>
@@ -106,6 +106,26 @@ TEST(ExplainGolden, BandJoinOffFallsBackToNestedLoop) {
   EXPECT_NE(text.find("joinable-nested-loop=1"), std::string::npos) << text;
 }
 
+// The header lines name every EvaluatorOptions field and every capability
+// bit the optimizer reads, so a plan dump says which toggles it was built
+// under.
+TEST(ExplainGolden, HeaderListsOptionsAndCapabilities) {
+  EvaluatorOptions options;
+  options.copy_results = true;
+  options.parallel_exec.enabled = true;
+  const std::string text = ExplainQuery(Edge(), 1, options);
+  EXPECT_NE(text.find("options: id-index=1 path-index=1 hash-join=1 "
+                      "band-join=1 lazy-let=1 invariant-cache=1 "
+                      "copy-results=1 compiled-pipelines=1 "
+                      "parallel-exec=1\n"),
+            std::string::npos)
+      << text;
+  EXPECT_NE(text.find("capabilities: id-lookup=1 tag-index=0 path-index=0 "
+                      "children-by-tag=0\n"),
+            std::string::npos)
+      << text;
+}
+
 // Compiled-pipeline fusion goldens: the hot Table 3 shapes must lower to
 // fused monomorphic loops, rendered with their stage chain and counted in
 // the CI-parsable summary line.
@@ -151,7 +171,6 @@ TEST(ExplainGolden, HashJoinOffIsFlaggedJoinable) {
 TEST(Capabilities, StoresAdvertiseTheirStructures) {
   const StorageCapabilities edge = Edge().Capabilities();
   EXPECT_TRUE(edge.id_lookup);
-  EXPECT_TRUE(edge.interval_descendants);
   EXPECT_FALSE(edge.children_by_tag);
   EXPECT_FALSE(edge.tag_index);
   EXPECT_FALSE(edge.path_index);
@@ -160,7 +179,6 @@ TEST(Capabilities, StoresAdvertiseTheirStructures) {
   EXPECT_TRUE(dom.id_lookup);
   EXPECT_TRUE(dom.tag_index);
   EXPECT_TRUE(dom.path_index);
-  EXPECT_TRUE(dom.interval_descendants);
   EXPECT_FALSE(dom.children_by_tag);
 
   auto fragmented = store::FragmentedStore::Load(TestDocument());
@@ -168,7 +186,6 @@ TEST(Capabilities, StoresAdvertiseTheirStructures) {
   const StorageCapabilities frag = (*fragmented)->Capabilities();
   EXPECT_TRUE(frag.children_by_tag);
   EXPECT_TRUE(frag.path_index);
-  EXPECT_TRUE(frag.interval_descendants);
 
   auto inlined = store::InlinedStore::Load(TestDocument(), xml::kAuctionDtd);
   ASSERT_TRUE(inlined.ok());
@@ -179,12 +196,11 @@ TEST(Capabilities, StoresAdvertiseTheirStructures) {
 }
 
 // Band-join semantics: every comparison direction and operand order must
-// match the naive interpreter byte for byte.
+// match the nested-loop plan (System F's join strategy) byte for byte.
 class BandJoinSemantics : public ::testing::Test {
  protected:
   static std::string Naive(const ParsedQuery& query) {
     EvaluatorOptions options;
-    options.use_planner = false;
     options.band_join = false;
     options.hash_join = false;
     Evaluator evaluator(&Dom(), options);
@@ -194,7 +210,7 @@ class BandJoinSemantics : public ::testing::Test {
   }
 
   static std::string Banded(const ParsedQuery& query, int64_t* rows) {
-    Evaluator evaluator(&Dom(), EvaluatorOptions{});  // planner + band on
+    Evaluator evaluator(&Dom(), EvaluatorOptions{});  // band join on
     auto result = evaluator.Run(query);
     XMARK_CHECK(result.ok());
     EXPECT_GE(evaluator.stats().band_joins_built, 1)
@@ -215,7 +231,7 @@ return <items name="{$p/name/text()}">{count($l)}</items>
   }
 };
 
-TEST_F(BandJoinSemantics, AllComparisonDirectionsMatchInterpreter) {
+TEST_F(BandJoinSemantics, AllComparisonDirectionsMatchNestedLoop) {
   const char* predicates[] = {
       "$p/profile/income > 5000 * $i/text()",
       "$p/profile/income >= 5000 * $i/text()",
@@ -233,7 +249,7 @@ TEST_F(BandJoinSemantics, AllComparisonDirectionsMatchInterpreter) {
   }
 }
 
-TEST_F(BandJoinSemantics, Q11AndQ12MatchInterpreterWithStats) {
+TEST_F(BandJoinSemantics, Q11AndQ12MatchNestedLoopWithStats) {
   for (int q : {11, 12}) {
     auto parsed = ParseQueryText(bench::GetQuery(q).text);
     ASSERT_TRUE(parsed.ok());
@@ -265,7 +281,7 @@ return <items>{count($l)}{$l}</items>
 
 TEST_F(BandJoinSemantics, EagerLetProbesAtBindTime) {
   // Under eager-let semantics (systems E-G) the probe must run at bind
-  // time and still match the interpreter byte for byte.
+  // time and still match the nested-loop plan byte for byte.
   for (int q : {11, 12}) {
     auto parsed = ParseQueryText(bench::GetQuery(q).text);
     ASSERT_TRUE(parsed.ok());
@@ -276,8 +292,8 @@ TEST_F(BandJoinSemantics, EagerLetProbesAtBindTime) {
     ASSERT_TRUE(a.ok());
     EXPECT_GE(banded.stats().band_joins_built, 1);
     EvaluatorOptions naive = eager;
-    naive.use_planner = false;
     naive.band_join = false;
+    naive.hash_join = false;
     Evaluator interpreted(&Dom(), naive);
     auto b = interpreted.Run(*parsed);
     ASSERT_TRUE(b.ok());
@@ -288,7 +304,7 @@ TEST_F(BandJoinSemantics, EagerLetProbesAtBindTime) {
 TEST_F(BandJoinSemantics, ProbeInputReboundRefusesRewrite) {
   // A later clause rebinds $p, which the band FLWOR's probe side reads:
   // the rewrite must refuse (the probe would otherwise see the rebound
-  // value at the count() site) and results must match the interpreter
+  // value at the count() site) and results must match the nested-loop plan
   // under both let-evaluation policies.
   const std::string query = R"(
 for $p in document("auction.xml")/site/people/person
@@ -309,8 +325,8 @@ return count($l)
     EXPECT_EQ(with_planner.stats().band_joins_built, 0)
         << "rewrite must refuse when a probe input is rebound";
     EvaluatorOptions naive = planned;
-    naive.use_planner = false;
     naive.band_join = false;
+    naive.hash_join = false;
     Evaluator interpreted(&Dom(), naive);
     auto b = interpreted.Run(*parsed);
     ASSERT_TRUE(b.ok());

@@ -142,9 +142,6 @@ TEST_P(StoreAccessTest, AttributeView) {
   ASSERT_TRUE(cat.has_value());
   EXPECT_EQ(*cat, "gold");
   EXPECT_FALSE(store_->AttributeView(item, "absent").has_value());
-  // The materializing wrapper agrees.
-  EXPECT_EQ(store_->Attribute(item, "id"), std::string("i1"));
-  EXPECT_FALSE(store_->Attribute(item, "absent").has_value());
 }
 
 TEST_P(StoreAccessTest, CursorMatchesSiblingChain) {

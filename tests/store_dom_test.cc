@@ -61,18 +61,32 @@ TEST(DomStoreTest, TagIndexDocumentOrder) {
   EXPECT_TRUE((*items)[0] < (*items)[1] && (*items)[1] < (*items)[2]);
 }
 
-TEST(DomStoreTest, DescendantsByTagRespectsSubtree) {
-  auto store = Load(true);
-  // Items under regions/asia only.
-  const auto regions = store->NextSibling(store->FirstChild(store->Root()));
-  const auto europe = store->FirstChild(regions);
-  const auto asia = store->NextSibling(europe);
-  auto under_asia = store->DescendantsByTag(asia, Tag(*store, "item"));
-  ASSERT_TRUE(under_asia.has_value());
-  EXPECT_EQ(under_asia->size(), 2u);
-  auto under_europe = store->DescendantsByTag(europe, Tag(*store, "item"));
-  ASSERT_TRUE(under_europe.has_value());
-  EXPECT_EQ(under_europe->size(), 1u);
+// Every `tag` descendant of `base`, drained through the store's cursor.
+std::vector<query::NodeHandle> TagDescendants(const DomStore& store,
+                                                query::NodeHandle base,
+                                                xml::NameId tag) {
+  query::DescendantCursor cur;
+  store.OpenDescendantCursor(base, query::ChildFilter::kTag, tag, &cur);
+  std::vector<query::NodeHandle> out;
+  query::NodeHandle buf[4];
+  size_t n;
+  while ((n = cur.Fill(buf, 4)) > 0) out.insert(out.end(), buf, buf + n);
+  return out;
+}
+
+TEST(DomStoreTest, DescendantCursorRespectsSubtree) {
+  for (bool indexed : {true, false}) {
+    auto store = Load(indexed);
+    // Items under regions/asia only.
+    const auto regions = store->NextSibling(store->FirstChild(store->Root()));
+    const auto europe = store->FirstChild(regions);
+    const auto asia = store->NextSibling(europe);
+    EXPECT_EQ(TagDescendants(*store, asia, Tag(*store, "item")).size(), 2u)
+        << "tag index " << indexed;
+    EXPECT_EQ(TagDescendants(*store, europe, Tag(*store, "item")).size(),
+              1u)
+        << "tag index " << indexed;
+  }
 }
 
 TEST(DomStoreTest, PathExtent) {
@@ -104,8 +118,6 @@ TEST(DomStoreTest, IndexesOffDowngradeGracefully) {
   EXPECT_FALSE(store->SupportsTagIndex());
   EXPECT_FALSE(store->SupportsPathIndex());
   EXPECT_EQ(store->NodesByTag(Tag(*store, "item")), nullptr);
-  EXPECT_FALSE(store->DescendantsByTag(store->Root(), Tag(*store, "item"))
-                   .has_value());
   EXPECT_FALSE(
       store->PathExtent({Tag(*store, "site")}).has_value());
 }
@@ -129,8 +141,8 @@ TEST(DomStoreTest, BeforeIsDocumentOrder) {
 TEST(DomStoreTest, Attributes) {
   auto store = Load(true);
   const auto p0 = store->NodeById("p0");
-  EXPECT_EQ(store->Attribute(p0, "id").value(), "p0");
-  EXPECT_FALSE(store->Attribute(p0, "none").has_value());
+  EXPECT_EQ(store->AttributeView(p0, "id").value(), "p0");
+  EXPECT_FALSE(store->AttributeView(p0, "none").has_value());
   query::AttributeRef attrs[2];
   ASSERT_EQ(store->AttributeRefs(p0, attrs, 2), 1u);
   EXPECT_EQ(store->names().Spelling(attrs[0].name), "id");

@@ -110,8 +110,8 @@ TEST_P(StoreEquivalence, AttributesMatch) {
   for (query::NodeHandle h = 0; h < n; ++h) {
     if (!ref.IsElement(h)) continue;
     ASSERT_EQ(AttributesOf(sub, h), AttributesOf(ref, h)) << h;
-    const auto id = ref.Attribute(h, "id");
-    ASSERT_EQ(sub.Attribute(h, "id"), id) << h;
+    const auto id = ref.AttributeView(h, "id");
+    ASSERT_EQ(sub.AttributeView(h, "id"), id) << h;
   }
 }
 
@@ -172,7 +172,7 @@ INSTANTIATE_TEST_SUITE_P(AllMappings, StoreEquivalence,
                            return "Unknown";
                          });
 
-TEST(FragmentedStoreTest, DescendantsByTagMatchesReference) {
+TEST(FragmentedStoreTest, DescendantCursorMatchesReferenceTagIndex) {
   const DomStore& ref = Reference();
   auto frag = FragmentedStore::Load(TestDoc());
   ASSERT_TRUE(frag.ok());
@@ -180,11 +180,18 @@ TEST(FragmentedStoreTest, DescendantsByTagMatchesReference) {
   const xml::NameId frag_item = (*frag)->names().Lookup("item");
   const xml::NameId ref_item = ref.names().Lookup("item");
   ASSERT_NE(frag_item, xml::kInvalidName);
-  const auto from_frag = (*frag)->DescendantsByTag((*frag)->Root(), frag_item);
-  const auto from_ref = ref.DescendantsByTag(ref.Root(), ref_item);
-  ASSERT_TRUE(from_frag.has_value());
-  ASSERT_TRUE(from_ref.has_value());
-  EXPECT_EQ(*from_frag, *from_ref);
+  query::DescendantCursor cur;
+  (*frag)->OpenDescendantCursor((*frag)->Root(), query::ChildFilter::kTag,
+                                frag_item, &cur);
+  std::vector<query::NodeHandle> from_frag;
+  query::NodeHandle buf[16];
+  size_t n;
+  while ((n = cur.Fill(buf, 16)) > 0) {
+    from_frag.insert(from_frag.end(), buf, buf + n);
+  }
+  const auto* from_ref = ref.NodesByTag(ref_item);
+  ASSERT_NE(from_ref, nullptr);
+  EXPECT_EQ(from_frag, *from_ref);
 }
 
 TEST(FragmentedStoreTest, PathExtentMatchesSummary) {

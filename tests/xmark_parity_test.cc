@@ -1,7 +1,7 @@
 // Cross-store parity: the serialized results of Q1-Q20 must be
-// byte-identical across all four physical mappings, with the zero-copy
-// storage-access fast paths (view-based comparisons + child cursors) on
-// and off. Also pins the Q1 acceptance property: with fast paths on, the
+// byte-identical across all four physical mappings, under each system's
+// own plan and under the nested-loop plan (hash and band joins off,
+// System F's strategy). Also pins the Q1 acceptance property: the
 // equality predicate path performs no per-node string materialization.
 
 #include <gtest/gtest.h>
@@ -46,14 +46,15 @@ Engine* LoadedEngine(SystemId id) {
   return it->second.get();
 }
 
-std::string RunSerialized(SystemId id, int query, bool fast_paths) {
+std::string RunSerialized(SystemId id, int query, bool nested_loop) {
   Engine* engine = LoadedEngine(id);
   auto parsed = query::ParseQueryText(GetQuery(query).text);
   XMARK_CHECK(parsed.ok());
   query::EvaluatorOptions opts = engine->evaluator_options();
-  opts.zero_copy_strings = fast_paths;
-  opts.child_cursors = fast_paths;
-  opts.descendant_cursors = fast_paths;
+  if (nested_loop) {
+    opts.hash_join = false;
+    opts.band_join = false;
+  }
   query::Evaluator evaluator(engine->store(), opts);
   auto result = evaluator.Run(*parsed);
   XMARK_CHECK(result.ok());
@@ -62,16 +63,16 @@ std::string RunSerialized(SystemId id, int query, bool fast_paths) {
 
 class ParityTest : public ::testing::TestWithParam<int> {};
 
-TEST_P(ParityTest, ByteIdenticalAcrossStoresAndFastPaths) {
+TEST_P(ParityTest, ByteIdenticalAcrossStoresAndJoinPlans) {
   const int query = GetParam();
-  // Reference: the native DOM store with every fast path disabled.
-  const std::string reference = RunSerialized(SystemId::kD, query, false);
+  // Reference: the native DOM store on the nested-loop plan.
+  const std::string reference = RunSerialized(SystemId::kD, query, true);
   for (SystemId id : kStores) {
-    for (bool fast : {false, true}) {
-      const std::string got = RunSerialized(id, query, fast);
+    for (bool nested_loop : {true, false}) {
+      const std::string got = RunSerialized(id, query, nested_loop);
       EXPECT_EQ(got, reference)
-          << "system " << SystemLabel(id) << " Q" << query
-          << (fast ? " with" : " without") << " fast paths diverges";
+          << "system " << SystemLabel(id) << " Q" << query << " on the "
+          << (nested_loop ? "nested-loop" : "system's own") << " plan diverges";
     }
   }
 }
@@ -86,10 +87,7 @@ TEST(ZeroCopyStats, Q1EqualityPathMaterializesNothing) {
     Engine* engine = LoadedEngine(id);
     auto parsed = query::ParseQueryText(GetQuery(1).text);
     ASSERT_TRUE(parsed.ok());
-    query::EvaluatorOptions opts = engine->evaluator_options();
-    opts.zero_copy_strings = true;
-    opts.child_cursors = true;
-    query::Evaluator evaluator(engine->store(), opts);
+    query::Evaluator evaluator(engine->store(), engine->evaluator_options());
     auto result = evaluator.Run(*parsed);
     ASSERT_TRUE(result.ok());
     EXPECT_EQ(evaluator.stats().compare_allocs, 0)
@@ -99,30 +97,29 @@ TEST(ZeroCopyStats, Q1EqualityPathMaterializesNothing) {
 }
 
 // Navigation inside constructed elements is Unimplemented; the streaming
-// fast paths must surface the same error instead of silently returning
-// false/empty.
+// comparison and arithmetic must surface the same error as the generic
+// step instead of silently returning false/empty.
 TEST(ZeroCopyStats, ConstructedNavigationErrorsMatchGenericPath) {
   Engine* engine = LoadedEngine(SystemId::kD);
-  // `name` must be a tag the store's dictionary knows, or both paths
-  // short-circuit to an empty step result before touching the item.
-  auto parsed = query::ParseQueryText(
-      "for $v in <x><name>1</name></x> return $v/name = \"1\"");
-  ASSERT_TRUE(parsed.ok());
-  for (bool fast : {false, true}) {
-    query::EvaluatorOptions opts = engine->evaluator_options();
-    opts.zero_copy_strings = fast;
-    opts.child_cursors = fast;
-    query::Evaluator evaluator(engine->store(), opts);
+  // `name` must be a tag the store's dictionary knows, or every path
+  // short-circuits to an empty step result before touching the item.
+  for (const char* text :
+       {"for $v in <x><name>1</name></x> return $v/name = \"1\"",
+        "for $v in <x><name>1</name></x> return 2 * $v/name",
+        "for $v in <x><name>1</name></x> return count($v/name)"}) {
+    auto parsed = query::ParseQueryText(text);
+    ASSERT_TRUE(parsed.ok()) << text;
+    query::Evaluator evaluator(engine->store(), engine->evaluator_options());
     auto result = evaluator.Run(*parsed);
-    EXPECT_FALSE(result.ok())
-        << (fast ? "fast" : "generic")
-        << " path silently evaluated constructed-node navigation";
+    ASSERT_FALSE(result.ok())
+        << text << ": constructed-node navigation evaluated silently";
+    EXPECT_EQ(result.status().code(), StatusCode::kUnimplemented) << text;
   }
 }
 
-// The cursor fast paths actually engage: Q6 (descendant walk) on the edge
-// store reports batched child scans on its child steps and one batched
-// interval scan per descendant step input.
+// The cursors actually engage: Q6 (descendant walk) on the edge store
+// reports batched child scans on its child steps and one batched interval
+// scan per descendant step input.
 TEST(ZeroCopyStats, CursorScansReported) {
   Engine* engine = LoadedEngine(SystemId::kA);
   auto parsed = query::ParseQueryText(GetQuery(6).text);
@@ -131,21 +128,10 @@ TEST(ZeroCopyStats, CursorScansReported) {
   // Pin the generic operator path: Q6 otherwise runs as a compiled
   // pipeline, whose scans are accounted independently of these toggles.
   opts.compiled_pipelines = false;
-  opts.zero_copy_strings = true;
-  opts.child_cursors = true;
-  opts.descendant_cursors = true;
   query::Evaluator evaluator(engine->store(), opts);
   ASSERT_TRUE(evaluator.Run(*parsed).ok());
   EXPECT_GT(evaluator.stats().cursor_scans, 0);
   EXPECT_GT(evaluator.stats().descendant_scans, 0);
-
-  opts.child_cursors = false;
-  opts.zero_copy_strings = false;
-  opts.descendant_cursors = false;
-  query::Evaluator no_cursors(engine->store(), opts);
-  ASSERT_TRUE(no_cursors.Run(*parsed).ok());
-  EXPECT_EQ(no_cursors.stats().cursor_scans, 0);
-  EXPECT_EQ(no_cursors.stats().descendant_scans, 0);
 }
 
 // Acceptance property of the transparent hash-join index: the Q8/Q9 probe
